@@ -129,13 +129,63 @@ std::map<uint64_t, std::vector<uint64_t>> predecessors(const StaticCfg& cfg) {
   return preds;
 }
 
+FunctionIndex::FunctionIndex(const melf::Binary& bin) {
+  // A symbol whose end wraps past 2^64 contains nothing under the linear
+  // scan's test, exactly like a zero-size one.
+  auto indexed = [](const melf::Symbol& s) {
+    return s.is_function && s.value + s.size > s.value;
+  };
+  // Elementary intervals between every function-symbol boundary.
+  std::vector<uint64_t> cuts;
+  for (const auto& s : bin.symbols) {
+    if (!indexed(s)) continue;
+    cuts.push_back(s.value);
+    cuts.push_back(s.value + s.size);
+  }
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  if (cuts.empty()) return;
+
+  // Each interval belongs to the first symbol (vector order) covering it.
+  std::vector<const melf::Symbol*> owner(cuts.size() - 1, nullptr);
+  for (const auto& s : bin.symbols) {
+    if (!indexed(s)) continue;
+    auto lo = std::lower_bound(cuts.begin(), cuts.end(), s.value);
+    auto hi = std::lower_bound(lo, cuts.end(), s.value + s.size);
+    for (auto i = lo; i != hi; ++i) {
+      const melf::Symbol*& o = owner[i - cuts.begin()];
+      if (o == nullptr) o = &s;
+    }
+  }
+
+  // Flatten: merge neighbours with the same owner, drop unowned gaps.
+  for (size_t i = 0; i < owner.size(); ++i) {
+    if (owner[i] == nullptr) continue;
+    if (!spans_.empty() && spans_.back().sym == owner[i] &&
+        spans_.back().end == cuts[i]) {
+      spans_.back().end = cuts[i + 1];
+    } else {
+      spans_.push_back({cuts[i], cuts[i + 1], owner[i]});
+    }
+  }
+}
+
+const melf::Symbol* FunctionIndex::symbol_containing(uint64_t off) const {
+  auto it = std::upper_bound(
+      spans_.begin(), spans_.end(), off,
+      [](uint64_t o, const Span& s) { return o < s.begin; });
+  if (it == spans_.begin()) return nullptr;
+  --it;
+  return off < it->end ? it->sym : nullptr;
+}
+
 std::map<uint64_t, FuncCfg> split_functions(const StaticCfg& cfg,
-                                            const melf::Binary& bin) {
+                                            const FunctionIndex& fns) {
   std::map<uint64_t, FuncCfg> funcs;
   // Block -> owning function entry, resolved through the symbol table.
   std::map<uint64_t, uint64_t> owner;
   for (const auto& [off, blk] : cfg.blocks) {
-    const melf::Symbol* fn = bin.symbol_containing(off);
+    const melf::Symbol* fn = fns.symbol_containing(off);
     if (fn == nullptr) continue;
     owner[off] = fn->value;
     FuncCfg& f = funcs[fn->value];
@@ -234,12 +284,12 @@ std::map<uint64_t, uint64_t> dominator_tree(const FuncCfg& f) {
 }
 
 std::map<uint64_t, std::vector<uint64_t>> call_sites(const StaticCfg& cfg,
-                                                     const melf::Binary& bin) {
+                                                     const FunctionIndex& fns) {
   std::map<uint64_t, std::vector<uint64_t>> sites;
   for (const auto& [off, blk] : cfg.blocks) {
-    const melf::Symbol* from = bin.symbol_containing(off);
+    const melf::Symbol* from = fns.symbol_containing(off);
     for (uint64_t t : blk.succs) {
-      const melf::Symbol* to = bin.symbol_containing(t);
+      const melf::Symbol* to = fns.symbol_containing(t);
       if (to == nullptr || to == from) continue;
       if (t != to->value) continue;  // only transfers to function entries
       sites[to->value].push_back(off);

@@ -74,6 +74,33 @@ bool decode_at(const melf::Binary& bin, uint64_t off, isa::Instr& out);
 /// Only targets that are block starts appear as keys.
 std::map<uint64_t, std::vector<uint64_t>> predecessors(const StaticCfg& cfg);
 
+/// Function-symbol lookup by offset: a sorted, flattened interval index that
+/// answers exactly what melf::Binary::symbol_containing answers — the first
+/// function symbol in vector order whose [value, value+size) holds the
+/// offset — in O(log #symbols) instead of a linear scan. Overlapping,
+/// nested and duplicate-start symbols are resolved by that first-match rule
+/// when the index is built; zero-size and non-function symbols never match.
+///
+/// The index points into `bin.symbols`: it is valid while that vector is
+/// unchanged, so it belongs next to the analysis built from the same binary
+/// (slicer::SliceModel owns one), never inside melf::Binary itself.
+class FunctionIndex {
+ public:
+  FunctionIndex() = default;
+  explicit FunctionIndex(const melf::Binary& bin);
+
+  /// The function symbol owning `off`, or nullptr.
+  const melf::Symbol* symbol_containing(uint64_t off) const;
+
+ private:
+  struct Span {
+    uint64_t begin = 0;
+    uint64_t end = 0;
+    const melf::Symbol* sym = nullptr;
+  };
+  std::vector<Span> spans_;  ///< disjoint, sorted by begin
+};
+
 /// Intra-procedural view of one function: the blocks owned by its symbol
 /// and the edges staying inside it. Call and tail-jump edges into other
 /// functions are dropped; a call's fallthrough edge keeps straight-line
@@ -88,7 +115,7 @@ struct FuncCfg {
 /// assigning each block to the function symbol containing it. Blocks outside
 /// every function symbol (e.g. PLT stubs) are not part of any subgraph.
 std::map<uint64_t, FuncCfg> split_functions(const StaticCfg& cfg,
-                                            const melf::Binary& bin);
+                                            const FunctionIndex& fns);
 
 /// Immediate dominators of every block reachable from `f.entry`; the entry
 /// maps to itself, unreachable blocks are absent. Cooper–Harvey–Kennedy
@@ -99,6 +126,6 @@ std::map<uint64_t, uint64_t> dominator_tree(const FuncCfg& f);
 /// in *other* functions that transfer into it (calls and tail jumps).
 /// Indirect calls are invisible, as everywhere in static recovery.
 std::map<uint64_t, std::vector<uint64_t>> call_sites(const StaticCfg& cfg,
-                                                     const melf::Binary& bin);
+                                                     const FunctionIndex& fns);
 
 }  // namespace dynacut::analysis

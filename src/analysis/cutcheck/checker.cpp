@@ -32,7 +32,7 @@ bool in_exec_section(const melf::Binary& bin, uint64_t off) {
 /// Applies the per-rule option knobs and the function/range enrichment one
 /// diagnostic at a time. Returns false when the rule is suppressed.
 bool emit_diag(CheckReport& report, const CheckOptions& opts,
-               const melf::Binary* bin, const char* rule, Severity sev,
+               const FunctionIndex* fns, const char* rule, Severity sev,
                const std::string& module, uint64_t off, std::string msg,
                std::string hint, uint64_t end = 0) {
   if (opts.suppress.count(rule) != 0) return false;
@@ -42,23 +42,24 @@ bool emit_diag(CheckReport& report, const CheckOptions& opts,
   }
   Diagnostic d{rule, sev, module, off, std::move(msg), std::move(hint)};
   d.end_offset = end;
-  if (bin != nullptr) {
-    const melf::Symbol* fn = bin->symbol_containing(off);
+  if (fns != nullptr) {
+    const melf::Symbol* fn = fns->symbol_containing(off);
     if (fn != nullptr) d.function = fn->name;
   }
   report.add(std::move(d));
   return true;
 }
 
-/// Everything the rules share, derived once per plan.
+/// Everything the rules share: the plan's module model plus the byte sets
+/// derived once per plan.
 struct Ctx {
-  Ctx(const CutPlan& p, const melf::Binary& b, const CheckOptions& o)
-      : plan(p), bin(b), opts(o) {}
+  Ctx(const CutPlan& p, const slicer::SliceModel& model, const CheckOptions& o)
+      : plan(p), bin(*p.binary), m(model), opts(o) {}
 
   const CutPlan& plan;
   const melf::Binary& bin;
+  const slicer::SliceModel& m;
   const CheckOptions& opts;
-  StaticCfg cfg;
   std::vector<std::pair<uint64_t, uint64_t>> ranges;  // (offset, size)
   std::set<uint64_t> range_starts;
   ByteSet range_bytes;  ///< exactly the bytes the plan names
@@ -69,8 +70,8 @@ struct Ctx {
 
   void add(const char* rule, Severity sev, uint64_t off, std::string msg,
            std::string hint = "", uint64_t end = 0) {
-    emit_diag(report, opts, &bin, rule, sev, plan.module, off, std::move(msg),
-              std::move(hint), end);
+    emit_diag(report, opts, &m.functions, rule, sev, plan.module, off,
+              std::move(msg), std::move(hint), end);
   }
 
   bool live_block(uint64_t block_start) const {
@@ -80,7 +81,7 @@ struct Ctx {
   /// " (in 'dispatch')" for offsets inside a function, "" otherwise — used
   /// to name the source of a stray edge inside messages.
   std::string in_function(uint64_t off) const {
-    const melf::Symbol* fn = bin.symbol_containing(off);
+    const melf::Symbol* fn = m.symbol_containing(off);
     return fn != nullptr ? " (in '" + fn->name + "')" : std::string();
   }
 };
@@ -88,8 +89,8 @@ struct Ctx {
 /// The reachable instruction whose encoding covers `off` (as its first byte
 /// or an interior byte), if any.
 std::optional<uint64_t> covering_instr(const Ctx& c, uint64_t off) {
-  auto it = c.cfg.instr_starts.upper_bound(off);
-  if (it == c.cfg.instr_starts.begin()) return std::nullopt;
+  auto it = c.m.cfg.instr_starts.upper_bound(off);
+  if (it == c.m.cfg.instr_starts.begin()) return std::nullopt;
   --it;
   isa::Instr ins;
   if (!decode_at(c.bin, *it, ins)) return std::nullopt;
@@ -107,7 +108,7 @@ void check_boundary(Ctx& c) {
             "drop the block or fix its module-relative offset");
       continue;
     }
-    if (!c.cfg.is_instr_start(off)) {
+    if (!c.m.cfg.is_instr_start(off)) {
       if (auto host = covering_instr(c, off)) {
         c.add(kRuleBoundary, Severity::kError, off,
               "block starts mid-instruction, inside the encoding at " +
@@ -134,7 +135,8 @@ void check_boundary(Ctx& c) {
             "trim the block to the section's code bytes");
       continue;
     }
-    if (c.cfg.block_containing(end) != nullptr && !c.cfg.is_instr_start(end)) {
+    if (c.m.cfg.block_containing(end) != nullptr &&
+        !c.m.cfg.is_instr_start(end)) {
       c.add(kRuleBoundary, Severity::kError, off,
             "block end " + hex_addr(end) +
                 " falls mid-instruction; wiping up to it tears the "
@@ -152,7 +154,7 @@ void check_stray_edges(Ctx& c) {
   // (weaker) contract, not a plan defect.
   if (c.plan.removal == Removal::kBlockFirstByte) return;
 
-  for (const auto& [boff, blk] : c.cfg.blocks) {
+  for (const auto& [boff, blk] : c.m.cfg.blocks) {
     if (!c.live_block(boff)) continue;  // removed blocks are not sources
     for (uint64_t t : blk.succs) {
       if (c.plan.removal == Removal::kUnmapPages &&
@@ -188,13 +190,13 @@ void check_redirect(Ctx& c) {
   if (c.plan.trap != Trap::kRedirect || !c.plan.has_redirect) return;
   uint64_t tgt = c.plan.redirect_offset;
 
-  if (!c.cfg.is_instr_start(tgt)) {
+  if (!c.m.cfg.is_instr_start(tgt)) {
     c.add(kRuleRedirect, Severity::kError, tgt,
           "redirect target is not a reachable instruction start",
           "point the redirect at a decoded instruction boundary");
     return;
   }
-  const melf::Symbol* fn = c.bin.symbol_containing(tgt);
+  const melf::Symbol* fn = c.m.symbol_containing(tgt);
   if (fn == nullptr) {
     c.add(kRuleRedirect, Severity::kError, tgt,
           "redirect target lies outside every function symbol",
@@ -205,7 +207,7 @@ void check_redirect(Ctx& c) {
   bool same_fn = false;
   size_t outside = 0;
   for (const auto& [off, size] : c.ranges) {
-    if (c.bin.symbol_containing(off) == fn) {
+    if (c.m.symbol_containing(off) == fn) {
       same_fn = true;
     } else {
       ++outside;
@@ -231,7 +233,7 @@ void check_redirect(Ctx& c) {
   // The redirect only helps if the error path can actually finish the
   // request: walk live intra-function blocks from the target and look for a
   // return or a syscall.
-  const CfgBlock* start = c.cfg.block_containing(tgt);
+  const CfgBlock* start = c.m.cfg.block_containing(tgt);
   if (start == nullptr) return;
   std::set<uint64_t> seen;
   std::deque<uint64_t> work{start->offset};
@@ -240,14 +242,14 @@ void check_redirect(Ctx& c) {
     uint64_t off = work.front();
     work.pop_front();
     if (!seen.insert(off).second) continue;
-    const CfgBlock* b = c.cfg.block_at(off);
+    const CfgBlock* b = c.m.cfg.block_at(off);
     if (b == nullptr || !c.live_block(off)) continue;
     if (b->term == isa::Op::kRet || b->term == isa::Op::kSyscall) {
       exits = true;
       break;
     }
     for (uint64_t t : b->succs) {
-      if (c.bin.symbol_containing(t) == fn) work.push_back(t);
+      if (c.m.symbol_containing(t) == fn) work.push_back(t);
     }
   }
   if (!exits) {
@@ -262,15 +264,16 @@ void check_redirect(Ctx& c) {
 // --- CC004: reachability amplification ----------------------------------
 
 void check_reach_amp(Ctx& c) {
-  auto funcs = split_functions(c.cfg, c.bin);
-  for (const auto& [entry, f] : funcs) {
+  // Block offsets are module-unique, so the model's merged dominator map
+  // restricted to one function is that function's dominator tree.
+  const std::map<uint64_t, uint64_t>& idom = c.m.deps.idom;
+  for (const auto& [entry, f] : c.m.funcs) {
     std::set<uint64_t> cut;
     for (uint64_t b : f.blocks) {
       if (c.dead.contains(b)) cut.insert(b);
     }
     if (cut.empty()) continue;
 
-    auto idom = dominator_tree(f);
     size_t amplified = 0;
     uint64_t example = 0, example_dom = 0;
     for (uint64_t b : f.blocks) {
@@ -290,7 +293,7 @@ void check_reach_amp(Ctx& c) {
       }
     }
     if (amplified > 0) {
-      const melf::Symbol* sym = c.bin.symbol_containing(entry);
+      const melf::Symbol* sym = c.m.symbol_containing(entry);
       c.add(kRuleReachAmp, Severity::kNote, entry,
             std::to_string(amplified) + " live block(s) in '" +
                 (sym != nullptr ? sym->name : hex_addr(entry)) +
@@ -304,13 +307,13 @@ void check_reach_amp(Ctx& c) {
 
   // Call-graph amplification: a function all of whose direct call sites are
   // removed cannot be reached any more (modulo indirect calls).
-  for (const auto& [entry, sites] : call_sites(c.cfg, c.bin)) {
+  for (const auto& [entry, sites] : c.m.deps.direct_callers) {
     if (sites.empty() || c.dead.contains(entry)) continue;
     bool all_cut = std::all_of(sites.begin(), sites.end(), [&](uint64_t s) {
       return c.dead.contains(s);
     });
     if (all_cut) {
-      const melf::Symbol* sym = c.bin.symbol_containing(entry);
+      const melf::Symbol* sym = c.m.symbol_containing(entry);
       std::string site_list;
       for (uint64_t s : sites) {
         if (!site_list.empty()) site_list += ", ";
@@ -338,9 +341,9 @@ void check_page_safety(Ctx& c) {
     // union of their bytes does not cover the page. Diff against the true
     // byte coverage.
     for (const auto& [gb, ge] : c.range_bytes.gaps(page, pend)) {
-      auto it = c.cfg.instr_starts.lower_bound(gb);
-      bool has_code = it != c.cfg.instr_starts.end() && *it < ge;
-      if (!has_code) has_code = c.cfg.block_containing(gb) != nullptr;
+      auto it = c.m.cfg.instr_starts.lower_bound(gb);
+      bool has_code = it != c.m.cfg.instr_starts.end() && *it < ge;
+      if (!has_code) has_code = c.m.cfg.block_containing(gb) != nullptr;
       if (has_code) {
         c.add(kRulePageSafety, Severity::kError, gb,
               "page " + hex_addr(page) +
@@ -360,7 +363,7 @@ void check_page_safety(Ctx& c) {
 
     // A live block starting on an earlier page that runs into this page
     // falls off a cliff at the page boundary.
-    const CfgBlock* straddler = c.cfg.block_containing(page);
+    const CfgBlock* straddler = c.m.cfg.block_containing(page);
     if (straddler != nullptr && straddler->offset < page &&
         !c.range_bytes.contains(straddler->offset)) {
       c.add(kRulePageSafety, Severity::kError, straddler->offset,
@@ -376,7 +379,7 @@ void check_page_safety(Ctx& c) {
         uint64_t se = stub.offset + stub.size;
         if (se <= page || sb >= pend) continue;
         bool referenced = false;
-        for (const auto& [boff, blk] : c.cfg.blocks) {
+        for (const auto& [boff, blk] : c.m.cfg.blocks) {
           if (!c.live_block(boff)) continue;
           for (uint64_t t : blk.succs) {
             if (t == sb) referenced = true;
@@ -484,8 +487,8 @@ void check_gadget_delta(Ctx& c, const CheckOptions& opts) {
 
 // --- CC007: indirect transfers escaping into removed code ---------------
 
-void check_indirect(Ctx& c, const slicer::SliceModel& m) {
-  for (const auto& site : m.indirect) {
+void check_indirect(Ctx& c) {
+  for (const auto& site : c.m.indirect) {
     if (!c.live_block(site.block)) continue;
     const char* what = site.is_call ? "call" : "jump";
     if (site.kind == slicer::IndirectSite::Kind::kPltImport) {
@@ -534,19 +537,19 @@ void check_indirect(Ctx& c, const slicer::SliceModel& m) {
 
 // --- CC008: the plan cuts a strict subset of its slice ------------------
 
-void check_partial_slice(Ctx& c, const slicer::SliceModel& m) {
+void check_partial_slice(Ctx& c) {
   std::set<uint64_t> seeds;
   for (uint64_t s : c.range_starts) {
-    const CfgBlock* blk = m.cfg.block_containing(s);
+    const CfgBlock* blk = c.m.cfg.block_containing(s);
     if (blk != nullptr) seeds.insert(blk->offset);
   }
   if (seeds.empty()) return;
   slicer::SliceOptions sopts;
   if (c.plan.trap == Trap::kRedirect && c.plan.has_redirect) {
-    const CfgBlock* rb = m.cfg.block_containing(c.plan.redirect_offset);
+    const CfgBlock* rb = c.m.cfg.block_containing(c.plan.redirect_offset);
     if (rb != nullptr) sopts.keep_blocks.insert(rb->offset);
   }
-  slicer::FeatureSlice slice = slicer::feature_slice(m, seeds, sopts);
+  slicer::FeatureSlice slice = slicer::feature_slice(c.m, seeds, sopts);
   std::vector<const slicer::Witness*> extra;
   for (const auto& w : slice.witnesses) {
     if (w.kind != slicer::Witness::Kind::kSeed && !c.dead.contains(w.block)) {
@@ -605,7 +608,7 @@ void check_data_reach(Ctx& c) {
 /// block-entry depth is unknown or SP escapes tracking on the way.
 int64_t sp_depth_at(const Ctx& c, const slicer::FuncDataflow& fd,
                     uint64_t off) {
-  const CfgBlock* blk = c.cfg.block_containing(off);
+  const CfgBlock* blk = c.m.cfg.block_containing(off);
   if (blk == nullptr) return slicer::kUnknownDepth;
   auto dit = fd.depth_in.find(blk->offset);
   if (dit == fd.depth_in.end() || dit->second == slicer::kUnknownDepth) {
@@ -641,18 +644,18 @@ int64_t sp_depth_at(const Ctx& c, const slicer::FuncDataflow& fd,
   return cur == off ? depth : slicer::kUnknownDepth;
 }
 
-void check_stack_imbalance(Ctx& c, const slicer::SliceModel& m) {
+void check_stack_imbalance(Ctx& c) {
   if (c.plan.trap != Trap::kRedirect || !c.plan.has_redirect) return;
   uint64_t tgt = c.plan.redirect_offset;
-  const melf::Symbol* fn = c.bin.symbol_containing(tgt);
+  const melf::Symbol* fn = c.m.symbol_containing(tgt);
   if (fn == nullptr) return;  // CC003 already rejects this
-  auto fit = m.fdf.find(fn->value);
-  if (fit == m.fdf.end()) return;
+  auto fit = c.m.fdf.find(fn->value);
+  if (fit == c.m.fdf.end()) return;
   int64_t want = sp_depth_at(c, fit->second, tgt);
 
   for (uint64_t s : c.range_starts) {
     // Only same-function trap sites redirect; the rest terminate (CC003).
-    if (c.bin.symbol_containing(s) != fn) continue;
+    if (c.m.symbol_containing(s) != fn) continue;
     int64_t have = sp_depth_at(c, fit->second, s);
     if (want == slicer::kUnknownDepth || have == slicer::kUnknownDepth) {
       c.add(kRuleStackImbalance, Severity::kWarning, s,
@@ -676,7 +679,7 @@ void check_stack_imbalance(Ctx& c, const slicer::SliceModel& m) {
 
 // --- CC011: stores orphaned by the cut ----------------------------------
 
-void check_dead_store(Ctx& c, const slicer::SliceModel& m) {
+void check_dead_store(Ctx& c) {
   // Heuristic (note severity): resolvable accesses only — an unresolved
   // load through an escaped pointer is invisible here, so this is a shrink
   // hint, never a rejection.
@@ -688,7 +691,7 @@ void check_dead_store(Ctx& c, const slicer::SliceModel& m) {
       continue;
     }
     std::set<uint64_t> readers, writers;
-    for (const auto& ref : m.mdf.mem_refs) {
+    for (const auto& ref : c.m.mdf.mem_refs) {
       if (ref.target < sym.value || ref.target >= sym.value + sym.size) {
         continue;
       }
@@ -736,8 +739,8 @@ void check_stub_reach(Ctx& c) {
           "keep the error stub's block out of the plan");
     return;
   }
-  const melf::Symbol* fn = c.bin.symbol_containing(tgt);
-  const CfgBlock* tb = c.cfg.block_containing(tgt);
+  const melf::Symbol* fn = c.m.symbol_containing(tgt);
+  const CfgBlock* tb = c.m.cfg.block_containing(tgt);
   if (fn == nullptr || tb == nullptr) return;  // CC003 covers these
 
   // The stub must stay reachable from the function entry after the cut —
@@ -751,13 +754,13 @@ void check_stub_reach(Ctx& c) {
     uint64_t off = work.front();
     work.pop_front();
     if (!seen.insert(off).second) continue;
-    const CfgBlock* b = c.cfg.block_at(off);
+    const CfgBlock* b = c.m.cfg.block_at(off);
     if (b == nullptr) continue;
     if (!c.live_block(off)) {
       // Trapping here redirects to the stub (same-function restriction);
       // any other removed block terminates and the walk stops.
       if (c.range_starts.count(off) != 0 &&
-          c.bin.symbol_containing(off) == fn) {
+          c.m.symbol_containing(off) == fn) {
         reached = true;
       }
       continue;
@@ -767,7 +770,7 @@ void check_stub_reach(Ctx& c) {
       break;
     }
     for (uint64_t t : b->succs) {
-      if (c.bin.symbol_containing(t) == fn) work.push_back(t);
+      if (c.m.symbol_containing(t) == fn) work.push_back(t);
     }
   }
   if (!reached) {
@@ -783,8 +786,7 @@ void check_stub_reach(Ctx& c) {
 
 // --- CC013: stub-mechanism entry reachability ---------------------------
 
-void check_stub_reachability(Ctx& c, const slicer::SliceModel& m,
-                             const slicer::StubPlan& sp) {
+void check_stub_reachability(Ctx& c, const slicer::StubPlan& sp) {
   if (c.plan.mechanism == Mechanism::kTrap) return;
 
   if (c.plan.removal == Removal::kUnmapPages) {
@@ -797,8 +799,8 @@ void check_stub_reachability(Ctx& c, const slicer::SliceModel& m,
 
   // Entries reachable through pointers the callsite pass cannot retarget —
   // recomputed exactly as plan_stubs demotes them under kAuto.
-  std::set<uint64_t> pointer_reachable(m.deps.address_taken);
-  for (const slicer::IndirectSite& site : m.indirect) {
+  std::set<uint64_t> pointer_reachable(c.m.deps.address_taken);
+  for (const slicer::IndirectSite& site : c.m.indirect) {
     if (site.kind == slicer::IndirectSite::Kind::kTable ||
         site.kind == slicer::IndirectSite::Kind::kDirect) {
       pointer_reachable.insert(site.targets.begin(), site.targets.end());
@@ -808,7 +810,7 @@ void check_stub_reachability(Ctx& c, const slicer::SliceModel& m,
                                   c.plan.stub_entries.end());
 
   for (uint64_t e : c.plan.stub_entries) {
-    const melf::Symbol* sym = c.bin.symbol_containing(e);
+    const melf::Symbol* sym = c.m.symbol_containing(e);
     if (sym == nullptr || sym->value != e || !sym->is_function) {
       c.add(kRuleStubReachability, Severity::kError, e,
             "stub entry " + hex_addr(e) +
@@ -825,8 +827,8 @@ void check_stub_reachability(Ctx& c, const slicer::SliceModel& m,
             "add the function's blocks to the plan or drop the entry");
       continue;
     }
-    auto fit = m.funcs.find(e);
-    if (fit != m.funcs.end()) {
+    auto fit = c.m.funcs.find(e);
+    if (fit != c.m.funcs.end()) {
       bool whole = true;
       for (uint64_t b : fit->second.blocks) {
         if (c.range_starts.count(b) == 0) {
@@ -846,7 +848,7 @@ void check_stub_reachability(Ctx& c, const slicer::SliceModel& m,
   }
 
   for (uint64_t e : sp.trap_only) {
-    const melf::Symbol* sym = c.bin.symbol_containing(e);
+    const melf::Symbol* sym = c.m.symbol_containing(e);
     std::string name = sym != nullptr ? "'" + sym->name + "'" : hex_addr(e);
     if (explicit_set.count(e) != 0) {
       c.add(kRuleStubReachability, Severity::kError, e,
@@ -865,7 +867,7 @@ void check_stub_reachability(Ctx& c, const slicer::SliceModel& m,
   if (c.plan.mechanism == Mechanism::kStub) {
     for (uint64_t e : sp.entries) {
       if (pointer_reachable.count(e) == 0) continue;
-      const melf::Symbol* sym = c.bin.symbol_containing(e);
+      const melf::Symbol* sym = c.m.symbol_containing(e);
       std::string name = sym != nullptr ? "'" + sym->name + "'" : hex_addr(e);
       c.add(kRuleStubReachability, Severity::kNote, e,
             "stubbed entry " + name +
@@ -880,12 +882,12 @@ void check_stub_reachability(Ctx& c, const slicer::SliceModel& m,
   // exactly as CC010 demands of trap redirects.
   if (c.plan.trap == Trap::kRedirect && c.plan.has_redirect) {
     uint64_t tgt = c.plan.redirect_offset;
-    const melf::Symbol* tfn = c.bin.symbol_containing(tgt);
-    auto tdf = tfn != nullptr ? m.fdf.find(tfn->value) : m.fdf.end();
-    if (tfn != nullptr && tdf != m.fdf.end()) {
+    const melf::Symbol* tfn = c.m.symbol_containing(tgt);
+    auto tdf = tfn != nullptr ? c.m.fdf.find(tfn->value) : c.m.fdf.end();
+    if (tfn != nullptr && tdf != c.m.fdf.end()) {
       int64_t want = sp_depth_at(c, tdf->second, tgt);
       for (const slicer::StubSite& s : sp.sites) {
-        if (c.bin.symbol_containing(s.instr) != tfn) continue;  // deny-ret
+        if (c.m.symbol_containing(s.instr) != tfn) continue;  // deny-ret
         int64_t have = sp_depth_at(c, tdf->second, s.instr);
         if (want == slicer::kUnknownDepth || have == slicer::kUnknownDepth) {
           c.add(kRuleStubReachability, Severity::kWarning, s.instr,
@@ -984,8 +986,13 @@ CheckReport check_plan(const CutPlan& plan, const CheckOptions& opts) {
     return r;
   }
 
-  Ctx c{plan, *plan.binary, opts};
-  c.cfg = recover_cfg(c.bin);
+  if (plan.model == nullptr || plan.model->bin != plan.binary.get()) {
+    CutPlan modelled = plan;
+    modelled.model = slicer::plan_model(plan);
+    return check_plan(modelled, opts);
+  }
+
+  Ctx c{plan, *plan.model, opts};
   c.ranges = plan.ranges();
   for (const auto& [off, size] : c.ranges) {
     c.range_starts.insert(off);
@@ -1014,18 +1021,14 @@ CheckReport check_plan(const CutPlan& plan, const CheckOptions& opts) {
   check_reach_amp(c);
   check_page_safety(c);
   check_gadget_delta(c, opts);
-
-  // The slicer-backed rules share one model (dataflow fixpoint, dominators,
-  // indirect-site classification); reuse the CFG recovered above.
-  slicer::SliceModel model = slicer::analyze(c.bin, c.cfg);
-  check_indirect(c, model);
-  check_partial_slice(c, model);
+  check_indirect(c);
+  check_partial_slice(c);
   check_data_reach(c);
-  check_stack_imbalance(c, model);
-  check_dead_store(c, model);
+  check_stack_imbalance(c);
+  check_dead_store(c);
   check_stub_reach(c);
-  slicer::StubPlan stubs = slicer::plan_stubs(model, plan);
-  check_stub_reachability(c, model, stubs);
+  slicer::StubPlan stubs = slicer::plan_stubs(plan);
+  check_stub_reachability(c, stubs);
   check_stub_reversibility(c, stubs);
   return std::move(c.report);
 }

@@ -19,6 +19,10 @@
 #include "analysis/coverage.hpp"
 #include "melf/binary.hpp"
 
+namespace dynacut::analysis::slicer {
+struct SliceModel;
+}  // namespace dynacut::analysis::slicer
+
 namespace dynacut::analysis::cutcheck {
 
 /// How undesired code is removed (paper §3.2.1).
@@ -61,6 +65,12 @@ struct CutPlan {
   /// The loaded module's binary; the checker recovers CFG/call graph from
   /// it. Must be non-null for check_plan.
   std::shared_ptr<const melf::Binary> binary;
+  /// The analysis of `binary` (CFG, function index, dataflow, dominators,
+  /// call graph), shared by every consumer of the plan: filled in by
+  /// slicer::synthesize_plan/expand_plan and by DynaCut, reused
+  /// by check_plan and plan_stubs while `model->bin == binary.get()` and
+  /// rebuilt by them otherwise. Null means "not analysed yet".
+  std::shared_ptr<const slicer::SliceModel> model;
   /// Module-relative blocks (the CovBlock::module field is not consulted).
   std::vector<CovBlock> blocks;
   Removal removal = Removal::kBlockFirstByte;

@@ -53,8 +53,7 @@ const IndirectSite* SliceModel::site_at_block(uint64_t block) const {
 }
 
 std::optional<uint64_t> SliceModel::function_of(uint64_t off) const {
-  if (bin == nullptr) return std::nullopt;
-  const melf::Symbol* fn = bin->symbol_containing(off);
+  const melf::Symbol* fn = symbol_containing(off);
   if (fn == nullptr) return std::nullopt;
   return fn->value;
 }
@@ -69,15 +68,12 @@ const char* witness_kind_name(Witness::Kind k) {
 }
 
 SliceModel analyze(const melf::Binary& bin) {
-  return analyze(bin, recover_cfg(bin));
-}
-
-SliceModel analyze(const melf::Binary& bin, StaticCfg cfg) {
   SliceModel m;
   m.bin = &bin;
-  m.cfg = std::move(cfg);
+  m.functions = FunctionIndex(bin);
+  m.cfg = recover_cfg(bin);
   m.mdf = analyze_module(bin, m.cfg);
-  m.funcs = split_functions(m.cfg, bin);
+  m.funcs = split_functions(m.cfg, m.functions);
 
   std::map<uint64_t, int64_t> abs_relocs;
   for (const auto& rel : bin.relocs) {
@@ -142,10 +138,11 @@ SliceModel analyze(const melf::Binary& bin, StaticCfg cfg) {
   // Caller map: the direct call graph plus resolved indirect transfers into
   // function entries. Resolved targets that are NOT entries pin their
   // function (the CFG is missing edges inside it).
-  m.deps.callers = call_sites(m.cfg, bin);
+  m.deps.direct_callers = call_sites(m.cfg, m.functions);
+  m.deps.callers = m.deps.direct_callers;
   for (const auto& site : m.indirect) {
     for (uint64_t t : site.targets) {
-      const melf::Symbol* to = bin.symbol_containing(t);
+      const melf::Symbol* to = m.symbol_containing(t);
       if (to == nullptr) continue;
       if (t == to->value) {
         auto from = m.function_of(site.block);
@@ -161,11 +158,19 @@ SliceModel analyze(const melf::Binary& bin, StaticCfg cfg) {
   // Address-taken functions: any kAbs64 relocation (code immediate or data
   // slot) whose value lands inside a function body.
   for (const auto& [off, addend] : abs_relocs) {
-    const melf::Symbol* fn = bin.symbol_containing(
-        static_cast<uint64_t>(addend));
+    const melf::Symbol* fn =
+        m.symbol_containing(static_cast<uint64_t>(addend));
     if (fn != nullptr) m.deps.address_taken.insert(fn->value);
   }
   return m;
+}
+
+std::shared_ptr<const SliceModel> plan_model(const cutcheck::CutPlan& plan) {
+  if (plan.binary == nullptr) return nullptr;
+  if (plan.model != nullptr && plan.model->bin == plan.binary.get()) {
+    return plan.model;
+  }
+  return std::make_shared<const SliceModel>(analyze(*plan.binary));
 }
 
 FeatureSlice feature_slice(const SliceModel& m, const std::set<uint64_t>& seeds,
@@ -190,8 +195,7 @@ FeatureSlice feature_slice(const SliceModel& m, const std::set<uint64_t>& seeds,
 
   std::optional<uint64_t> entry_fn = entry_function(m);
   auto fn_name = [&](uint64_t entry) {
-    const melf::Symbol* sym =
-        m.bin != nullptr ? m.bin->symbol_containing(entry) : nullptr;
+    const melf::Symbol* sym = m.symbol_containing(entry);
     return sym != nullptr ? sym->name : hex_addr(entry);
   };
 
@@ -213,9 +217,13 @@ FeatureSlice feature_slice(const SliceModel& m, const std::set<uint64_t>& seeds,
           if (it == m.deps.idom.end() || it->second == cur) break;
           cur = it->second;
           if (out.blocks.count(cur) != 0) {
+            std::string why = "dominated by removed block ";
+            why += hex_addr(cur);
+            why += " in '";
+            why += fn_name(entry);
+            why += "'";
             changed |= include(b, Witness::Kind::kDominated, cur,
-                               "dominated by removed block " + hex_addr(cur) +
-                                   " in '" + fn_name(entry) + "'");
+                               std::move(why));
             break;
           }
           if (cur == entry) break;
@@ -249,10 +257,11 @@ FeatureSlice feature_slice(const SliceModel& m, const std::set<uint64_t>& seeds,
         return out.blocks.count(s) != 0;
       });
       if (!all_cut) continue;
+      std::string why = "'";
+      why += fn_name(entry);
+      why += "' is only reached from removed call sites";
       for (uint64_t b : f.blocks) {
-        changed |= include(b, Witness::Kind::kCallClosure, entry,
-                           "'" + fn_name(entry) +
-                               "' is only reached from removed call sites");
+        changed |= include(b, Witness::Kind::kCallClosure, entry, why);
       }
     }
   }
@@ -263,9 +272,11 @@ PlanExpansion expand_plan(cutcheck::CutPlan& plan, const SliceOptions& opts) {
   PlanExpansion stats;
   stats.seed_blocks = plan.blocks.size();
   stats.slice_blocks = plan.blocks.size();
-  if (plan.binary == nullptr || plan.blocks.empty()) return stats;
+  if (plan.binary == nullptr) return stats;
+  plan.model = plan_model(plan);
+  if (plan.blocks.empty()) return stats;
 
-  SliceModel m = analyze(*plan.binary);
+  const SliceModel& m = *plan.model;
   SliceOptions eff = opts;
   if (plan.has_redirect) {
     // The error stub must survive the cut it serves.
@@ -320,11 +331,13 @@ std::optional<uint64_t> terminator_offset(const melf::Binary& bin,
 
 }  // namespace
 
-StubPlan plan_stubs(const SliceModel& m, const cutcheck::CutPlan& plan) {
+StubPlan plan_stubs(const cutcheck::CutPlan& plan) {
   StubPlan out;
-  if (plan.mechanism == cutcheck::Mechanism::kTrap || m.bin == nullptr) {
+  if (plan.mechanism == cutcheck::Mechanism::kTrap || plan.binary == nullptr) {
     return out;
   }
+  const std::shared_ptr<const SliceModel> model = plan_model(plan);
+  const SliceModel& m = *model;
   std::set<uint64_t> cut_starts;
   for (const auto& b : plan.blocks) cut_starts.insert(b.offset);
 
@@ -370,7 +383,7 @@ StubPlan plan_stubs(const SliceModel& m, const cutcheck::CutPlan& plan) {
   out.entries.assign(entries.begin(), entries.end());
 
   for (uint64_t entry : entries) {
-    const melf::Symbol* sym = m.bin->symbol_containing(entry);
+    const melf::Symbol* sym = m.symbol_containing(entry);
     if (sym != nullptr && sym->value == entry && sym->global) {
       out.exports.emplace_back(sym->name, entry);
     }

@@ -64,14 +64,21 @@ struct DepGraph {
   /// Function entry -> the blocks that call or tail-jump into it, direct
   /// transfers and resolved indirect ones alike.
   std::map<uint64_t, std::vector<uint64_t>> callers;
+  /// The direct call graph alone (analysis::call_sites): `callers` without
+  /// the resolved indirect transfers — CC004's call-graph view.
+  std::map<uint64_t, std::vector<uint64_t>> direct_callers;
   /// Function entries whose address is taken by any kAbs64 relocation —
   /// reachable through pointers the CFG cannot see.
   std::set<uint64_t> address_taken;
 };
 
-/// Everything the slicer knows about one binary, computed once.
+/// Everything the slicer and cutcheck know about one binary, computed once
+/// (DESIGN.md §11): plans carry it (CutPlan::model), DynaCut keeps one per
+/// loaded module for its lifetime.
 struct SliceModel {
   const melf::Binary* bin = nullptr;  ///< non-owning; caller keeps it alive
+  /// Function-symbol lookups for every consumer of the model.
+  FunctionIndex functions;
   StaticCfg cfg;
   ModuleDataflow mdf;
   std::map<uint64_t, FuncCfg> funcs;
@@ -87,13 +94,21 @@ struct SliceModel {
   std::set<uint64_t> pinned_functions;
 
   const IndirectSite* site_at_block(uint64_t block) const;
+  /// The function symbol owning `off` (first match in symbol order), or
+  /// nullptr.
+  const melf::Symbol* symbol_containing(uint64_t off) const {
+    return functions.symbol_containing(off);
+  }
   /// Entry of the function symbol owning `off`, or nullopt.
   std::optional<uint64_t> function_of(uint64_t off) const;
 };
 
 SliceModel analyze(const melf::Binary& bin);
-/// As above but reusing an already-recovered CFG (the cutcheck path).
-SliceModel analyze(const melf::Binary& bin, StaticCfg cfg);
+
+/// The model of `plan.binary`: the plan's attached model when it was built
+/// from that binary, otherwise a fresh analysis. Nullptr without a binary.
+/// Assign it to `plan.model` to share it with every later consumer.
+std::shared_ptr<const SliceModel> plan_model(const cutcheck::CutPlan& plan);
 
 /// Why a block is in the slice.
 struct Witness {
@@ -138,7 +153,8 @@ struct PlanExpansion {
 
 /// Grows `plan.blocks` in place to the feature slice seeded by them. The
 /// redirect target's block (when the plan hosts one) is kept out of the
-/// slice automatically. No-op on plans without a binary or blocks.
+/// slice automatically. Attaches the model it slices over; no-op on plans
+/// without a binary.
 PlanExpansion expand_plan(cutcheck::CutPlan& plan,
                           const SliceOptions& opts = {});
 
@@ -178,7 +194,8 @@ struct StubPlan {
   std::vector<std::pair<std::string, uint64_t>> exports;
 };
 
-/// Plans the callsite/PLT redirection for `plan` (Mechanism::kStub/kAuto).
+/// Plans the callsite/PLT redirection for `plan` (Mechanism::kStub/kAuto)
+/// over plan_model(plan).
 /// Entries come from plan.stub_entries when non-empty, otherwise they are
 /// derived: function-entry symbols whose every CFG block is in the cut.
 /// Under kAuto, address-taken entries and resolved-indirect targets are
@@ -186,10 +203,11 @@ struct StubPlan {
 /// block are excluded when deriving (the int3 net keeps them) but kept for
 /// explicit entry lists so CC014 can examine them. Returns an empty plan for
 /// Mechanism::kTrap.
-StubPlan plan_stubs(const SliceModel& m, const cutcheck::CutPlan& plan);
+StubPlan plan_stubs(const cutcheck::CutPlan& plan);
 
 /// Builds a slice-closed CutPlan from observed coverage: blocks of
-/// `observed` belonging to `module` seed the closure over `bin`'s CFG.
+/// `observed` belonging to `module` seed the closure over `bin`'s CFG. The
+/// returned plan carries the model (CutPlan::model).
 cutcheck::CutPlan synthesize_plan(std::shared_ptr<const melf::Binary> bin,
                                   const std::string& module,
                                   const std::string& feature,

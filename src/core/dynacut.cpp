@@ -58,7 +58,7 @@ void DynaCut::annotate(obs::Event& e) {
   }
 }
 
-analysis::cutcheck::CheckReport DynaCut::run_check(
+std::vector<analysis::cutcheck::CutPlan> DynaCut::module_plans(
     const CutRequest& req) const {
   const os::Process* proc = os_.process(root_pid_);
   std::vector<rw::ModuleRef> mods;
@@ -70,31 +70,40 @@ analysis::cutcheck::CheckReport DynaCut::run_check(
                                  req.removal, req.trap,
                                  req.feature.redirect_module,
                                  req.feature.redirect_offset, req.mechanism);
-  return analysis::cutcheck::check_plans(plans, req.check_options);
+  for (auto& plan : plans) {
+    if (plan.binary == nullptr) continue;
+    auto& model = models_[plan.binary];
+    if (model == nullptr) {
+      model = std::make_shared<const analysis::slicer::SliceModel>(
+          analysis::slicer::analyze(*plan.binary));
+      if (metrics_ != nullptr) metrics_->add("analysis.models_built");
+    }
+    plan.model = model;
+  }
+  return plans;
+}
+
+analysis::cutcheck::CheckReport DynaCut::run_check(
+    const CutRequest& req) const {
+  return analysis::cutcheck::check_plans(module_plans(req),
+                                         req.check_options);
 }
 
 CutRequest DynaCut::expanded_request(const CutRequest& req,
                                      rw::SliceExpansion* stats) const {
   if (!req.expand_to_slice) return req;
 
-  const os::Process* proc = os_.process(root_pid_);
-  std::vector<rw::ModuleRef> mods;
-  if (proc != nullptr) {
-    mods.reserve(proc->modules.size());
-    for (const auto& m : proc->modules) mods.push_back({m.name, m.binary});
-  }
-  auto plans = rw::extract_plans(mods, req.feature.name, req.feature.blocks,
-                                 req.removal, req.trap,
-                                 req.feature.redirect_module,
-                                 req.feature.redirect_offset, req.mechanism);
+  auto plans = module_plans(req);
 
   // A module's functions imported by any other loaded module are entered
   // from outside its CFG; pin them against call closure.
   analysis::slicer::SliceOptions sopts;
-  for (const auto& m : mods) {
-    if (m.binary == nullptr) continue;
-    for (const auto& imp : m.binary->imports) {
-      sopts.keep_functions.insert(imp);
+  if (const os::Process* proc = os_.process(root_pid_)) {
+    for (const auto& m : proc->modules) {
+      if (m.binary == nullptr) continue;
+      for (const auto& imp : m.binary->imports) {
+        sopts.keep_functions.insert(imp);
+      }
     }
   }
 
@@ -114,20 +123,9 @@ CutRequest DynaCut::expanded_request(const CutRequest& req,
 DynaCut::StubPlans DynaCut::plan_stub_redirection(const CutRequest& req) const {
   StubPlans out;
   if (req.mechanism == CutMechanism::kTrap) return out;
-  const os::Process* proc = os_.process(root_pid_);
-  if (proc == nullptr) return out;
-  std::vector<rw::ModuleRef> mods;
-  mods.reserve(proc->modules.size());
-  for (const auto& m : proc->modules) mods.push_back({m.name, m.binary});
-  auto plans = rw::extract_plans(mods, req.feature.name, req.feature.blocks,
-                                 req.removal, req.trap,
-                                 req.feature.redirect_module,
-                                 req.feature.redirect_offset, req.mechanism);
-  for (const auto& plan : plans) {
+  for (const auto& plan : module_plans(req)) {
     if (plan.binary == nullptr || plan.blocks.empty()) continue;
-    analysis::slicer::SliceModel model =
-        analysis::slicer::analyze(*plan.binary);
-    analysis::slicer::StubPlan sp = analysis::slicer::plan_stubs(model, plan);
+    analysis::slicer::StubPlan sp = analysis::slicer::plan_stubs(plan);
     if (!sp.entries.empty()) out.emplace(plan.module, std::move(sp));
   }
   return out;
@@ -148,13 +146,6 @@ analysis::cutcheck::CheckReport DynaCut::preflight(
     }
   }
   return report;
-}
-
-analysis::cutcheck::CheckReport DynaCut::preflight(
-    const FeatureSpec& spec, RemovalPolicy removal,
-    TrapPolicy trap_policy) const {
-  return preflight(
-      CutRequest{.feature = spec, .removal = removal, .trap = trap_policy});
 }
 
 void DynaCut::preflight_or_throw(const CutRequest& req) const {
@@ -195,13 +186,6 @@ CustomizeReport DynaCut::disable_feature(const CutRequest& req) {
         "wipe removal)");
   }
   return apply(req);
-}
-
-CustomizeReport DynaCut::disable_feature(const FeatureSpec& spec,
-                                         RemovalPolicy removal,
-                                         TrapPolicy trap_policy) {
-  return disable_feature(
-      CutRequest{.feature = spec, .removal = removal, .trap = trap_policy});
 }
 
 CustomizeReport DynaCut::remove_init_code(

@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -91,8 +92,6 @@ struct FeatureSpec {
 ///                       .trap = TrapPolicy::kRedirect,
 ///                       .label = "cve-2021-xxxx"});
 ///
-/// Replaces the old positional (spec, removal, trap) surface, which remains
-/// available as deprecated shims.
 struct CutRequest {
   FeatureSpec feature;
   RemovalPolicy removal = RemovalPolicy::kBlockFirstByte;
@@ -225,16 +224,6 @@ class DynaCut {
   /// error handler's function, kVerify without kBlockFirstByte).
   CustomizeReport disable_feature(const CutRequest& req);
 
-  [[deprecated("use preflight(const CutRequest&)")]]
-  analysis::cutcheck::CheckReport preflight(const FeatureSpec& spec,
-                                            RemovalPolicy removal,
-                                            TrapPolicy trap_policy) const;
-
-  [[deprecated("use disable_feature(const CutRequest&)")]]
-  CustomizeReport disable_feature(const FeatureSpec& spec,
-                                  RemovalPolicy removal,
-                                  TrapPolicy trap_policy);
-
   /// Re-enables a previously disabled feature (restores bytes, re-maps
   /// unmapped ranges from the original binary). Transactional like
   /// disable_feature: an aborted restore leaves the feature fully disabled
@@ -326,6 +315,13 @@ class DynaCut {
   /// on kError findings.
   void preflight_or_throw(const CutRequest& req) const;
 
+  /// The request's per-module cut plans over the root process's loaded
+  /// modules (rw::extract_plans), each carrying its module's slice model
+  /// from models_ — the one place run_check, expanded_request and
+  /// plan_stub_redirection get their plans and analyses from.
+  std::vector<analysis::cutcheck::CutPlan> module_plans(
+      const CutRequest& req) const;
+
   analysis::cutcheck::CheckReport run_check(const CutRequest& req) const;
 
   /// Resolves CutRequest.expand_to_slice: returns the request with its
@@ -414,6 +410,14 @@ class DynaCut {
   std::map<std::pair<int, uint64_t>, StubSlotMeta> stub_slots_;
   /// Per-pid count of verifier-log entries already surfaced as events.
   mutable std::map<int, uint64_t> heals_seen_;
+  /// Module binary -> its slice model (CFG, function index, dataflow, call
+  /// graph), built on the first plan that needs it and kept for this
+  /// instance's lifetime, so repeated toggles analyse each module once. Each
+  /// build charges the `analysis.models_built` counter. Keyed by the shared
+  /// binary, which the key keeps alive for the model's non-owning pointer.
+  mutable std::map<std::shared_ptr<const melf::Binary>,
+                   std::shared_ptr<const analysis::slicer::SliceModel>>
+      models_;
 };
 
 }  // namespace dynacut::core

@@ -9,7 +9,9 @@ namespace dynacut::isa {
 namespace {
 std::string reg_name(uint8_t r) {
   if (r == kSpReg) return "sp";
-  return "r" + std::to_string(r);
+  std::string name = "r";
+  name += std::to_string(r);
+  return name;
 }
 }  // namespace
 

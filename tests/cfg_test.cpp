@@ -9,6 +9,7 @@
 #include "isa/encode.hpp"
 #include "apps/minikv.hpp"
 #include "apps/miniweb.hpp"
+#include "common/rng.hpp"
 #include "melf/builder.hpp"
 #include "os/os.hpp"
 #include "test_guests.hpp"
@@ -165,7 +166,7 @@ TEST(Cfg, DominatorsOfIrreducibleLoop) {
   f.label("l2").add_ri(1, 2).cmp_ri(1, 20).jlt("l1").ret();
   Binary bin = b.link();
   StaticCfg cfg = recover_cfg(bin);
-  auto funcs = split_functions(cfg, bin);
+  auto funcs = split_functions(cfg, FunctionIndex(bin));
   ASSERT_EQ(funcs.size(), 1u);
   const FuncCfg& fc = funcs.begin()->second;
   auto idom = dominator_tree(fc);
@@ -200,7 +201,7 @@ TEST(Cfg, MultiEntrySubgraphKeepsDominatorsPartial) {
   StaticCfg cfg = recover_cfg(bin);
   ASSERT_TRUE(cfg.block_at(1) != nullptr);
 
-  auto funcs = split_functions(cfg, bin);
+  auto funcs = split_functions(cfg, FunctionIndex(bin));
   ASSERT_EQ(funcs.size(), 2u);
   const FuncCfg& fc = funcs.at(0);
   EXPECT_TRUE(fc.blocks.count(1));  // owned by f's symbol...
@@ -363,6 +364,87 @@ TEST(Gadgets, WipingCodeRemovesGadgets) {
 
   GadgetStats after = scan_gadgets(p->mem);
   EXPECT_LT(after.gadget_starts, before.gadget_starts);
+}
+
+// --- FunctionIndex: must answer exactly like the linear symbol scan -----
+
+/// A random symbol table mixing every shape the first-match rule has to
+/// break ties for: overlapping, nested, duplicate-start, zero-size,
+/// non-function and end-wrapping symbols.
+Binary random_symbols(Rng& rng) {
+  Binary bin;
+  const size_t n = rng.range(0, 24);
+  for (size_t i = 0; i < n; ++i) {
+    melf::Symbol s;
+    s.name = "s";
+    s.name += std::to_string(i);
+    s.is_function = !rng.chance(1, 5);
+    const uint64_t shape = rng.below(6);
+    if (shape == 0 && !bin.symbols.empty()) {
+      // Duplicate start of an earlier symbol.
+      s.value = bin.symbols[rng.below(bin.symbols.size())].value;
+      s.size = rng.range(0, 64);
+    } else if (shape == 1 && !bin.symbols.empty()) {
+      // Nested inside (or flush with) an earlier symbol.
+      const melf::Symbol& outer = bin.symbols[rng.below(bin.symbols.size())];
+      s.value = outer.value + rng.range(0, outer.size);
+      s.size = rng.range(0, outer.size);
+    } else if (shape == 2) {
+      s.value = rng.range(0, 256);
+      s.size = 0;
+    } else if (shape == 3 && rng.chance(1, 4)) {
+      // value + size wraps past 2^64: the scan's test never matches it.
+      s.value = ~0ull - rng.range(0, 8);
+      s.size = rng.range(1, 32);
+    } else {
+      s.value = rng.range(0, 256);
+      s.size = rng.range(1, 96);
+    }
+    bin.symbols.push_back(s);
+  }
+  return bin;
+}
+
+TEST(FunctionIndex, AgreesWithLinearScanOnRandomSymbolTables) {
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed);
+    Binary bin = random_symbols(rng);
+    FunctionIndex index(bin);
+    auto agrees = [&](uint64_t off) {
+      EXPECT_EQ(index.symbol_containing(off), bin.symbol_containing(off))
+          << "seed " << seed << " offset " << off;
+    };
+    for (uint64_t off = 0; off < 420; ++off) agrees(off);
+    for (uint64_t off = ~0ull - 40; off != 0; ++off) agrees(off);
+  }
+}
+
+TEST(FunctionIndex, FirstFunctionSymbolInVectorOrderWins) {
+  Binary bin;
+  bin.symbols = {
+      {.name = "data", .value = 0, .size = 100, .is_function = false},
+      {.name = "empty", .value = 10, .size = 0, .is_function = true},
+      {.name = "inner", .value = 20, .size = 10, .is_function = true},
+      {.name = "outer", .value = 0, .size = 100, .is_function = true},
+      {.name = "twin", .value = 20, .size = 40, .is_function = true},
+  };
+  FunctionIndex index(bin);
+  EXPECT_EQ(index.symbol_containing(10)->name, "outer");
+  EXPECT_EQ(index.symbol_containing(25)->name, "inner");
+  EXPECT_EQ(index.symbol_containing(30)->name, "outer");  // twin is shadowed
+  EXPECT_EQ(index.symbol_containing(100), nullptr);
+  EXPECT_EQ(FunctionIndex().symbol_containing(0), nullptr);
+}
+
+TEST(FunctionIndex, AgreesWithLinearScanOnAppBinaries) {
+  for (const auto& bin : {apps::build_minikv(), apps::build_miniweb(),
+                          apps::build_libc()}) {
+    FunctionIndex index(*bin);
+    for (uint64_t off = 0; off < bin->image_size(); ++off) {
+      ASSERT_EQ(index.symbol_containing(off), bin->symbol_containing(off))
+          << bin->name << " offset " << off;
+    }
+  }
 }
 
 TEST(Gadgets, UnmappingCodeRemovesGadgetsEntirely) {

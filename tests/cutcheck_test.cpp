@@ -227,7 +227,7 @@ TEST(CfgExtensionsTest, DominatorTreeOfDiamond) {
       .ret();
   Binary bin = b.link();
   StaticCfg cfg = recover_cfg(bin);
-  auto funcs = split_functions(cfg, bin);
+  auto funcs = split_functions(cfg, FunctionIndex(bin));
   ASSERT_EQ(funcs.size(), 1u);
   const FuncCfg& fc = funcs.begin()->second;
   auto idom = dominator_tree(fc);
@@ -250,7 +250,7 @@ TEST(CfgExtensionsTest, DominatorTreeOfChainFollowsTheChain) {
   f.label("d1").ret();
   Binary bin = b.link();
   StaticCfg cfg = recover_cfg(bin);
-  auto funcs = split_functions(cfg, bin);
+  auto funcs = split_functions(cfg, FunctionIndex(bin));
   const FuncCfg& fc = funcs.begin()->second;
   auto idom = dominator_tree(fc);
 
@@ -286,7 +286,7 @@ TEST(CfgExtensionsTest, PredecessorsInvertSuccessors) {
 TEST(CfgExtensionsTest, CallSitesIndexCalleesByCallingBlocks) {
   auto bin = dynacut::testing::build_toysrv();
   StaticCfg cfg = recover_cfg(*bin);
-  auto sites = call_sites(cfg, *bin);
+  auto sites = call_sites(cfg, FunctionIndex(*bin));
   const melf::Symbol* ha = bin->find_symbol("handle_a");
   ASSERT_NE(ha, nullptr);
   ASSERT_TRUE(sites.count(ha->value));
@@ -301,7 +301,7 @@ TEST(CfgExtensionsTest, CallSitesIndexCalleesByCallingBlocks) {
 TEST(CfgExtensionsTest, SplitFunctionsKeepsEdgesIntraprocedural) {
   auto bin = dynacut::testing::build_toysrv();
   StaticCfg cfg = recover_cfg(*bin);
-  auto funcs = split_functions(cfg, *bin);
+  auto funcs = split_functions(cfg, FunctionIndex(*bin));
   for (const auto& [entry, fc] : funcs) {
     for (const auto& [from, succs] : fc.succs) {
       for (uint64_t t : succs) {
@@ -536,7 +536,7 @@ TEST(RuleReachAmpTest, DominatedBlocksAreReportedAsFreeRemovals) {
 TEST(RuleReachAmpTest, FunctionWithAllCallSitesCutIsReported) {
   auto bin = dynacut::testing::build_toysrv();
   StaticCfg cfg = recover_cfg(*bin);
-  auto sites = call_sites(cfg, *bin);
+  auto sites = call_sites(cfg, FunctionIndex(*bin));
   uint64_t ha = bin->find_symbol("handle_a")->value;
   ASSERT_TRUE(sites.count(ha));
   std::vector<CovBlock> blocks;
@@ -996,7 +996,7 @@ TEST(DynaCutCheckModeTest, PreflightReportsWithoutTouchingTheProcess) {
   BootedToysrv t;
   core::DynaCut dc(t.vos, t.pid);
   StaticCfg cfg = recover_cfg(*t.bin);
-  auto sites = call_sites(cfg, *t.bin);
+  auto sites = call_sites(cfg, FunctionIndex(*t.bin));
   uint64_t ha = t.bin->find_symbol("handle_a")->value;
   core::FeatureSpec spec;
   spec.name = "armA";

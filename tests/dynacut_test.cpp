@@ -107,6 +107,33 @@ TEST(DynaCut, DisableRestoreCycleIsRepeatable) {
   }
 }
 
+TEST(DynaCut, RepeatedTogglesAnalyseTheModuleOnce) {
+  Pipeline px;
+  obs::Registry reg;
+  DynaCut dc(px.vos, px.pid);
+  dc.set_observer(nullptr, &reg);
+  // Slice expansion, the cutcheck gate and stub planning all read the
+  // module's model; only the first of them may build it.
+  const CutRequest req{.feature = px.feature_b,
+                       .trap = TrapPolicy::kRedirect,
+                       .expand_to_slice = true,
+                       .mechanism = CutMechanism::kAuto};
+  for (int round = 0; round < 3; ++round) {
+    dc.disable_feature(req);
+    EXPECT_EQ(px.request("B\n"), "err\n") << "round " << round;
+    dc.restore_feature("B");
+    EXPECT_EQ(px.request("B\n"), "beta\n") << "round " << round;
+  }
+  EXPECT_TRUE(dc.preflight(req).ok());
+  EXPECT_EQ(reg.counter("analysis.models_built"), 1u);
+
+  // Models live with their DynaCut instance, never in a global cache.
+  DynaCut other(px.vos, px.pid);
+  other.set_observer(nullptr, &reg);
+  EXPECT_TRUE(other.preflight(req).ok());
+  EXPECT_EQ(reg.counter("analysis.models_built"), 2u);
+}
+
 TEST(DynaCut, WipePolicyAlsoRedirects) {
   Pipeline px;
   DynaCut dc(px.vos, px.pid);

@@ -634,25 +634,5 @@ TEST(CutRequestTest, LabelAndTagsRideOnTheCommitEvent) {
   dc.restore_feature("B");
 }
 
-// --- deprecated positional shims ----------------------------------------
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(CutRequestTest, DeprecatedPositionalShimsStillWork) {
-  ObsPipeline px;
-  DynaCut dc(px.vos, px.pid);
-  auto report = dc.preflight(px.feature_b, RemovalPolicy::kBlockFirstByte,
-                             TrapPolicy::kRedirect);
-  EXPECT_TRUE(report.ok());
-  CustomizeReport rep = dc.disable_feature(
-      px.feature_b, RemovalPolicy::kBlockFirstByte, TrapPolicy::kRedirect);
-  EXPECT_GT(rep.edits.blocks_patched, 0u);
-  EXPECT_EQ(rep.obs.label, "B");
-  EXPECT_EQ(px.request("B\n"), "err\n");
-  dc.restore_feature("B");
-  EXPECT_EQ(px.request("B\n"), "beta\n");
-}
-#pragma GCC diagnostic pop
-
 }  // namespace
 }  // namespace dynacut

@@ -16,8 +16,10 @@
 #include "analysis/slicer/dataflow.hpp"
 #include "analysis/slicer/slicer.hpp"
 #include "apps/libc.hpp"
+#include "apps/minihttpd.hpp"
 #include "apps/minikv.hpp"
 #include "apps/miniweb.hpp"
+#include "apps/specgen.hpp"
 #include "common/error.hpp"
 #include "core/dynacut.hpp"
 #include "melf/builder.hpp"
@@ -194,7 +196,7 @@ TEST(DataflowTest, JoinLattice) {
 TEST(DataflowTest, StackDepthsAndLiveness) {
   auto bin = build_stack_guest();
   analysis::StaticCfg cfg = analysis::recover_cfg(*bin);
-  auto funcs = analysis::split_functions(cfg, *bin);
+  auto funcs = analysis::split_functions(cfg, analysis::FunctionIndex(*bin));
   uint64_t entry = bin->find_symbol("f")->value;
   ASSERT_TRUE(funcs.count(entry));
   slicer::FuncDataflow fd = slicer::analyze_function(*bin, cfg, funcs.at(entry));
@@ -378,6 +380,71 @@ TEST(FeatureSliceTest, SynthesizePlanIsSliceClosedAndClean) {
   CheckReport r = cutcheck::check_plan(plan);
   EXPECT_TRUE(r.ok()) << r.format();
   EXPECT_EQ(rule_count(r, cutcheck::kRulePartialSlice, Severity::kNote), 0u);
+}
+
+// --- one model per plan ---------------------------------------------------
+
+TEST(PlanModelTest, CheckPlanIsIdenticalWithAttachedOrRebuiltModel) {
+  std::vector<std::shared_ptr<const melf::Binary>> guests = {
+      apps::build_minikv(), apps::build_miniweb(), apps::build_minihttpd(),
+      apps::build_kvbench(), apps::build_libc()};
+  for (const auto& sb : apps::spec_suite()) {
+    guests.push_back(apps::build_spec(sb));
+  }
+  for (const auto& bin : guests) {
+    // Pseudo-coverage: every fifth block of the binary.
+    slicer::SliceModel m = slicer::analyze(*bin);
+    std::vector<CovBlock> observed;
+    size_t i = 0;
+    for (const auto& [off, blk] : m.cfg.blocks) {
+      if (i++ % 5 == 0) observed.push_back({bin->name, off, blk.size});
+    }
+    ASSERT_FALSE(observed.empty()) << bin->name;
+    CutPlan plan = slicer::synthesize_plan(bin, bin->name, "reuse", observed,
+                                           Removal::kBlockFirstByte,
+                                           Trap::kTerminate);
+    ASSERT_NE(plan.model, nullptr) << bin->name;
+    EXPECT_EQ(plan.model->bin, bin.get());
+
+    // The same plan under every mechanism, a wipe, and a redirect into the
+    // function of its first block: each rule family reads the model.
+    std::vector<CutPlan> variants(4, plan);
+    variants[1].removal = Removal::kWipeBlocks;
+    variants[2].mechanism = cutcheck::Mechanism::kAuto;
+    variants[3].mechanism = cutcheck::Mechanism::kStub;
+    variants[3].trap = Trap::kRedirect;
+    variants[3].has_redirect = true;
+    variants[3].redirect_offset =
+        m.function_of(plan.blocks.front().offset).value_or(0);
+    for (const CutPlan& with_model : variants) {
+      CutPlan bare = with_model;
+      bare.model.reset();
+      CheckReport a = cutcheck::check_plan(with_model);
+      CheckReport b = cutcheck::check_plan(bare);
+      EXPECT_EQ(a.format(), b.format()) << bin->name;
+      EXPECT_EQ(a.gadget_delta, b.gadget_delta) << bin->name;
+    }
+  }
+}
+
+TEST(PlanModelTest, ModelOfAnotherBinaryIsNotReused) {
+  auto bin = dynacut::testing::build_toysrv();
+  slicer::SliceModel m = slicer::analyze(*bin);
+  CutPlan plan =
+      make_plan(bin, {whole_block(m, "toysrv", arm_a_block(m, *bin))},
+                Removal::kWipeBlocks, Trap::kTerminate);
+  CheckReport fresh = cutcheck::check_plan(plan);
+
+  // A model left over from a different binary (here: libc) is stale.
+  auto libc = apps::build_libc();
+  plan.model =
+      std::make_shared<const slicer::SliceModel>(slicer::analyze(*libc));
+  EXPECT_EQ(slicer::plan_model(plan)->bin, bin.get());
+  EXPECT_EQ(cutcheck::check_plan(plan).format(), fresh.format());
+
+  plan.model = slicer::plan_model(plan);
+  EXPECT_EQ(plan.model->bin, bin.get());
+  EXPECT_EQ(slicer::plan_model(plan), plan.model);  // reused, not rebuilt
 }
 
 // --- CC007 indirect-escape -----------------------------------------------
