@@ -204,16 +204,6 @@ CkptReport checkpoint(os::Os& os, const CkptRequest& req) {
   return CkptReport{std::move(img), st};
 }
 
-ProcessImage checkpoint(os::Os& os, int pid, FaultPlan* faults,
-                        obs::EventBus* bus, const Baseline* baseline,
-                        CkptStats* stats) {
-  CkptReport rep = checkpoint(
-      os, CkptRequest{
-              .pid = pid, .faults = faults, .bus = bus, .baseline = baseline});
-  if (stats != nullptr) *stats = rep.stats;
-  return std::move(rep.img);
-}
-
 RestoreStats restore(os::Os& os, const RestoreRequest& req) {
   DYNACUT_ASSERT(req.img != nullptr);
   const int pid = req.pid;
@@ -285,15 +275,6 @@ RestoreStats restore(os::Os& os, const RestoreRequest& req) {
   return st;
 }
 
-RestoreStats restore(os::Os& os, int pid, const ProcessImage& img,
-                     FaultPlan* faults, obs::EventBus* bus, RestoreMode mode) {
-  return restore(os, RestoreRequest{.pid = pid,
-                                    .img = &img,
-                                    .mode = mode,
-                                    .faults = faults,
-                                    .bus = bus});
-}
-
 int spawn_from_image(os::Os& os, const ProcessImage& img,
                      const SpawnOpts& opts) {
   auto p = std::make_unique<os::Process>();
@@ -340,18 +321,7 @@ int spawn_from_image(os::Os& os, const ProcessImage& img,
     p->modules.push_back(os::LoadedModule{m.name, m.base, m.size, m.binary});
   }
 
-  if (opts.warm_code) {
-    for (const auto& [start, vma] : p->mem.vmas()) {
-      if ((vma.prot & kProtExec) != 0) {
-        p->dcache.warm(p->mem, vma.start, vma.end);
-      }
-    }
-  }
   return os.adopt(std::move(p));
-}
-
-int restore_new(os::Os& os, const ProcessImage& img) {
-  return spawn_from_image(os, img);
 }
 
 std::vector<ProcessImage> checkpoint_group(os::Os& os, int root_pid,

@@ -61,9 +61,6 @@ struct CkptStats {
 ///   auto [img, stats] = image::checkpoint(os, {.pid = pid,
 ///                                              .baselines = &baselines,
 ///                                              .label = "pre-toggle"});
-///
-/// Replaces the positional (os, pid, faults, bus, baseline, stats) surface,
-/// which remains available as a deprecated shim.
 struct CkptRequest {
   int pid = 0;
   /// Deterministic fault-injection hook (FaultStage::kCheckpoint fires
@@ -99,12 +96,6 @@ struct CkptReport {
 /// back to a full dump — the result is identical either way.
 CkptReport checkpoint(os::Os& os, const CkptRequest& req);
 
-[[deprecated("use checkpoint(os, image::CkptRequest{.pid = ...})")]]
-ProcessImage checkpoint(os::Os& os, int pid, FaultPlan* faults = nullptr,
-                        obs::EventBus* bus = nullptr,
-                        const Baseline* baseline = nullptr,
-                        CkptStats* stats = nullptr);
-
 enum class RestoreMode {
   kDelta,  ///< write back only pages that differ from live memory
   kFull,   ///< rebuild the address space from scratch (new asid, cold caches)
@@ -125,9 +116,6 @@ struct RestoreStats {
 ///
 ///   image::restore(os, {.pid = pid, .img = &img,
 ///                       .mode = image::RestoreMode::kFull});
-///
-/// Replaces the positional (os, pid, img, faults, bus, mode) surface, which
-/// remains available as a deprecated shim.
 struct RestoreRequest {
   int pid = 0;
   const ProcessImage* img = nullptr;  ///< required: the image to install
@@ -155,11 +143,6 @@ struct RestoreRequest {
 /// observable process state is identical to RestoreMode::kFull.
 RestoreStats restore(os::Os& os, const RestoreRequest& req);
 
-[[deprecated("use restore(os, image::RestoreRequest{.pid = ..., .img = ...})")]]
-RestoreStats restore(os::Os& os, int pid, const ProcessImage& img,
-                     FaultPlan* faults = nullptr, obs::EventBus* bus = nullptr,
-                     RestoreMode mode = RestoreMode::kDelta);
-
 /// Options for spawn_from_image().
 struct SpawnOpts {
   /// Process name; empty keeps the image's proc_name.
@@ -167,9 +150,6 @@ struct SpawnOpts {
   /// Rebind every listening socket of the image to this port (scale-out:
   /// each worker forked from one template image serves its own port).
   std::optional<uint16_t> listen_port;
-  /// Pre-decode the image's executable VMAs into the fresh decode cache so
-  /// the worker starts warm instead of paying cold fetch misses.
-  bool warm_code = false;
 };
 
 /// CRIU restore-as-template: forks a brand-new serving process on `os`
@@ -185,15 +165,6 @@ struct SpawnOpts {
 /// image::ProcessImage, which sits above the OS in the link order.
 int spawn_from_image(os::Os& os, const ProcessImage& img,
                      const SpawnOpts& opts = {});
-
-/// Restores an image as a brand-new process (e.g. booting from a stored
-/// post-init image instead of rerunning initialization). Listening sockets
-/// are re-created and re-registered; established connections come back with
-/// their buffered bytes but a closed peer. Returns the new pid.
-///
-/// Equivalent to spawn_from_image(os, img, {}) — kept as the historical
-/// spelling of the default-options case.
-int restore_new(os::Os& os, const ProcessImage& img);
 
 /// checkpoint() for a whole process group (Nginx master + workers): every
 /// member goes through the same fault hook, per-member `checkpoint.dump`

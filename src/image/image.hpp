@@ -155,15 +155,6 @@ class ImageStore {
   /// Every key in the store, ascending (pid, then tag).
   std::vector<ImageKey> list() const;
 
-  // Deprecated ad-hoc string keys; a string key maps to the reserved
-  // legacy ImageKey{-1, key}, disjoint from every typed key.
-  [[deprecated("use put(const ImageKey&, ...)")]]
-  void put(const std::string& key, const ProcessImage& img);
-  [[deprecated("use get(const ImageKey&)")]]
-  ProcessImage get(const std::string& key) const;
-  [[deprecated("use contains(const ImageKey&)")]]
-  bool contains(const std::string& key) const;
-
   /// Logical page payload across all entries — every page counted once per
   /// image that holds it, shared or not.
   size_t bytes_used() const;
@@ -176,8 +167,6 @@ class ImageStore {
   size_t resident_bytes(std::set<const void*>* seen = nullptr) const;
 
  private:
-  static ImageKey legacy_key(const std::string& key) { return {-1, key}; }
-
   std::map<ImageKey, ProcessImage> files_;
 };
 

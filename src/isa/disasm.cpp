@@ -17,58 +17,34 @@ std::string reg_name(uint8_t r) {
 
 std::string format_instr(const Instr& ins, uint64_t addr) {
   const std::string m = mnemonic(ins.op);
-  switch (ins.op) {
-    case Op::kMovRI:
-      return m + " " + reg_name(ins.r1) + ", " +
-             hex_addr(static_cast<uint64_t>(ins.imm));
-    case Op::kMovRR:
-    case Op::kAddRR:
-    case Op::kSubRR:
-    case Op::kMulRR:
-    case Op::kDivRR:
-    case Op::kAndRR:
-    case Op::kOrRR:
-    case Op::kXorRR:
-    case Op::kCmpRR:
-      return m + " " + reg_name(ins.r1) + ", " + reg_name(ins.r2);
-    case Op::kLoad:
-    case Op::kLoadB:
-      return m + " " + reg_name(ins.r1) + ", [" + reg_name(ins.r2) +
-             (ins.imm >= 0 ? "+" : "") + std::to_string(ins.imm) + "]";
-    case Op::kStore:
-    case Op::kStoreB:
-      return m + " [" + reg_name(ins.r1) + (ins.imm >= 0 ? "+" : "") +
-             std::to_string(ins.imm) + "], " + reg_name(ins.r2);
-    case Op::kAddRI:
-    case Op::kSubRI:
-    case Op::kCmpRI:
-      return m + " " + reg_name(ins.r1) + ", " + std::to_string(ins.imm);
-    case Op::kShlRI:
-    case Op::kShrRI:
-      return m + " " + reg_name(ins.r1) + ", " + std::to_string(ins.imm);
-    case Op::kJmp:
-    case Op::kJe:
-    case Op::kJne:
-    case Op::kJlt:
-    case Op::kJle:
-    case Op::kJgt:
-    case Op::kJge:
-    case Op::kJb:
-    case Op::kJae:
-    case Op::kCall:
-      return m + " " + hex_addr(ins.target(addr));
-    case Op::kCallR:
-    case Op::kJmpR:
-    case Op::kPush:
-    case Op::kPop:
-      return m + " " + reg_name(ins.r1);
-    case Op::kLea:
-      return m + " " + reg_name(ins.r1) + ", " + hex_addr(ins.target(addr));
-    case Op::kRet:
-    case Op::kSyscall:
-    case Op::kNop:
-    case Op::kTrap:
+  const std::string r1 = reg_name(ins.r1);
+  switch (op_info(ins.op).format) {
+    case Format::kNone:
       return m;
+    case Format::kR:
+      return m + " " + r1;
+    case Format::kRR:
+      return m + " " + r1 + ", " + reg_name(ins.r2);
+    case Format::kRImm8:
+      return m + " " + r1 + ", " + std::to_string(ins.imm);
+    case Format::kRImm32:
+      if (ins.op == Op::kLea) {
+        return m + " " + r1 + ", " + hex_addr(ins.target(addr));
+      }
+      return m + " " + r1 + ", " + std::to_string(ins.imm);
+    case Format::kRImm64:
+      return m + " " + r1 + ", " + hex_addr(static_cast<uint64_t>(ins.imm));
+    case Format::kRRDisp32: {
+      std::string disp = ins.imm >= 0 ? "+" : "";
+      disp += std::to_string(ins.imm);
+      disp += "]";
+      if (ins.op == Op::kStore || ins.op == Op::kStoreB) {
+        return m + " [" + r1 + disp + ", " + reg_name(ins.r2);
+      }
+      return m + " " + r1 + ", [" + reg_name(ins.r2) + disp;
+    }
+    case Format::kRel32:
+      return m + " " + hex_addr(ins.target(addr));
   }
   return "(bad)";
 }

@@ -70,7 +70,7 @@ struct Access {
 /// A checkpoint epoch: a point on one address space's modification clock.
 /// The soft-dirty-bit analogue — dirty_pages_since(epoch) names every page
 /// modified after the epoch was taken. The asid pins the epoch to the
-/// address-space *instance*: a rebuilt space (full restore, restore_new,
+/// address-space *instance*: a rebuilt space (full restore, spawn_from_image,
 /// copy-assignment) restarts its clock, so a stale epoch must never be
 /// trusted there — asid mismatch invalidates it.
 struct MemEpoch {

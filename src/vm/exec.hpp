@@ -42,27 +42,21 @@ class SuperblockCache;
 /// all guest errors surface as kFault/kTrap results. With a cache, the
 /// fetch+decode is served from (and fills) the cache; without one it reads
 /// raw page bytes every time.
-StepResult step(AddressSpace& mem, Cpu& cpu);
-StepResult step(AddressSpace& mem, Cpu& cpu, DecodeCache* cache);
+StepResult step(AddressSpace& mem, Cpu& cpu, DecodeCache* cache = nullptr);
 
 /// Executes instructions until a basic-block terminator retires, a syscall/
 /// trap/fault surfaces, or `max_instr` instructions have been attempted.
 /// `retired` returns the number of attempts (faulting/trapping instructions
 /// count once, matching the per-step accounting of the OS scheduler).
-/// Straight-line spans inside one cached page run off the decoded array
-/// with a single generation check per instruction — no fetch, no decode.
-StepResult run_block(AddressSpace& mem, Cpu& cpu, DecodeCache* cache,
-                     uint64_t max_instr, uint64_t& retired);
-
-/// Superblock-aware variant: hot entries execute as fused threaded-code
-/// traces (vm/superblock.hpp) and may retire *many* basic blocks before
-/// returning — internal direct branches re-enter the trace without
-/// surfacing. The call still returns on the first terminator that leaves
-/// every trace, on syscalls/traps/faults, and when the budget is spent;
-/// `retired` keeps the exact per-attempt accounting of the 5-arg form. A
-/// mid-trace deoptimization (page generation bump) transparently resumes
-/// on the interpreter path within the same call. `sbc == nullptr` behaves
-/// exactly like the 5-arg overload.
+/// With a decode cache, straight-line spans inside one cached page run off
+/// the decoded array with a single generation check per instruction — no
+/// fetch, no decode. With a superblock cache (`sbc` may be null), hot
+/// entries execute as fused threaded-code traces (vm/superblock.hpp) and
+/// may retire *many* basic blocks before returning — internal direct
+/// branches re-enter the trace without surfacing; the call then returns on
+/// the first terminator that leaves every trace. A mid-trace
+/// deoptimization (page generation bump) transparently resumes on the
+/// interpreter path within the same call.
 StepResult run_block(AddressSpace& mem, Cpu& cpu, DecodeCache* cache,
                      SuperblockCache* sbc, uint64_t max_instr,
                      uint64_t& retired);
@@ -87,14 +81,6 @@ class DecodeCache {
   /// also self-triggers on an asid change.
   void clear();
 
-  /// Pre-decodes [start, end) of `mem` into the cache — the warm-start path
-  /// of image::spawn_from_image, so a worker forked from an image starts
-  /// its code already decoded instead of paying cold misses. Fills follow
-  /// the demand-miss contract (page-straddlers stay uncached, undecodable
-  /// bytes resync one byte forward) and count as misses. Returns the number
-  /// of instructions decoded.
-  size_t warm(AddressSpace& mem, uint64_t start, uint64_t end);
-
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
   uint64_t invalidations() const { return invalidations_; }
@@ -102,8 +88,6 @@ class DecodeCache {
 
  private:
   friend StepResult step(AddressSpace&, Cpu&, DecodeCache*);
-  friend StepResult run_block(AddressSpace&, Cpu&, DecodeCache*, uint64_t,
-                              uint64_t&);
   friend StepResult run_block(AddressSpace&, Cpu&, DecodeCache*,
                               SuperblockCache*, uint64_t, uint64_t&);
 
@@ -127,13 +111,18 @@ class DecodeCache {
   /// Returns the (validated, possibly freshly wiped) entry for a page.
   PageEntry* entry_for(const AddressSpace& mem, uint64_t page_addr);
 
-  /// Decodes the instruction at `ip` into `s`. False if the bytes are not
-  /// readable as code (caller falls back to the uncached fetch for the
-  /// precise fault address).
-  bool fill_slot(const AddressSpace& mem, uint64_t ip, Slot& s);
+  /// Fetches the instruction at `ip` into `s` and returns the fetch
+  /// result. Bytes that are not readable as code (kSegv) leave the slot
+  /// unknown: only decodes and invalid encodings are cached.
+  StepResult fill_slot(const AddressSpace& mem, uint64_t ip, Slot& s);
 
   /// Cache-served fetch+decode of the instruction at `ip`.
   StepResult fetch(AddressSpace& mem, uint64_t ip, isa::Instr& out);
+
+  /// The decode-cache tier of run_block: one basic block, event or budget
+  /// per call, straight-line spans served off the page's decoded array.
+  StepResult run(AddressSpace& mem, Cpu& cpu, uint64_t max_instr,
+                 uint64_t& retired);
 
   std::unordered_map<uint64_t, PageEntry> pages_;
   uint64_t asid_ = 0;  ///< address space the entries were filled from

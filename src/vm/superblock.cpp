@@ -3,48 +3,11 @@
 #include <algorithm>
 #include <set>
 
+#include "vm/semantics.hpp"
+
 namespace dynacut::vm {
 
-namespace {
-
-using isa::Instr;
 using isa::Op;
-
-/// Decodes the instruction at `ip` for the trace builder. Requires every
-/// byte to be readable as code; the builder never fuses past a byte the
-/// executor could not fetch.
-bool decode_at(const AddressSpace& mem, uint64_t ip, Instr& out) {
-  uint8_t buf[isa::kMaxInstrLength];
-  if (mem.read(ip, buf, sizeof buf, kProtExec).ok) {
-    auto ins = isa::try_decode(buf);
-    if (!ins) return false;
-    out = *ins;
-    return true;
-  }
-  uint8_t opcode;
-  if (!mem.read(ip, &opcode, 1, kProtExec).ok) return false;
-  uint8_t len = isa::instr_length(opcode);
-  if (len == 0) return false;
-  uint8_t full[16];
-  full[0] = opcode;
-  if (len > 1 && !mem.read(ip + 1, full + 1, len - 1, kProtExec).ok) {
-    return false;
-  }
-  auto ins = isa::try_decode({full, len});
-  if (!ins) return false;
-  out = *ins;
-  return true;
-}
-
-/// Dense dispatch-table index for an opcode. The jump table in dispatch()
-/// lists its handlers in exactly this order — keep the two in sync.
-constexpr uint8_t dense_index(Op op) {
-  if (op == Op::kNop) return 0x24;
-  if (op == Op::kTrap) return 0x25;
-  return static_cast<uint8_t>(static_cast<uint8_t>(op) - 1);  // 0x01..0x24
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Cache maintenance
@@ -140,19 +103,18 @@ Superblock* SuperblockCache::build(const AddressSpace& mem, uint64_t entry) {
 
     uint64_t cur = ip;
     for (uint32_t i = 0; i < bi.instr_count; ++i) {
-      Instr ins;
-      if (!decode_at(mem, cur, ins)) return nullptr;  // disagrees with the
-      // block scan — cannot happen single-threaded, but a half-threaded
-      // block must never be registered.
+      // A fetch that disagrees with the block scan cannot happen
+      // single-threaded, but a half-threaded block must never be registered.
+      isa::Instr ins;
+      if (fetch(mem, cur, ins).kind != StepKind::kOk) return nullptr;
       Superblock::ThreadedOp op;
       op.op = ins.op;
       op.r1 = ins.r1;
       op.r2 = ins.r2;
       op.length = ins.length;
-      op.hidx = dense_index(ins.op);
+      op.hidx = isa::op_index(ins.op);
       op.imm = ins.imm;
       op.ip = cur;
-      op.target = ins.target(cur);  // resolved once, never recomputed
       index_of.emplace(cur, static_cast<int32_t>(sb->ops_.size()));
       sb->ops_.push_back(op);
       cur += ins.length;
@@ -162,7 +124,7 @@ Superblock* SuperblockCache::build(const AddressSpace& mem, uint64_t entry) {
     const Superblock::ThreadedOp& last = sb->ops_.back();
     uint64_t next_ip;
     if (last.op == Op::kJmp || last.op == Op::kCall) {
-      next_ip = last.target;  // fuse through the direct transfer
+      next_ip = last.target();  // fuse through the direct transfer
     } else if (isa::is_cond_branch(last.op)) {
       next_ip = last.ip + last.length;  // fuse along the fallthrough
     } else {
@@ -174,7 +136,7 @@ Superblock* SuperblockCache::build(const AddressSpace& mem, uint64_t entry) {
   if (sb->ops_.empty()) return nullptr;
 
   // Thread the ops: successors become trace indices where the target is
-  // inside the trace, kExit (with the precomputed address) where it leaves.
+  // inside the trace, kExit where it leaves.
   auto index_or_exit = [&](uint64_t at) {
     auto f = index_of.find(at);
     return f == index_of.end() ? Superblock::kExit : f->second;
@@ -184,9 +146,9 @@ Superblock* SuperblockCache::build(const AddressSpace& mem, uint64_t entry) {
     if (!isa::is_terminator(o.op)) {
       o.next = static_cast<int32_t>(i + 1);  // same block, always present
     } else if (o.op == Op::kJmp || o.op == Op::kCall) {
-      o.taken = index_or_exit(o.target);
+      o.taken = index_or_exit(o.target());
     } else if (isa::is_cond_branch(o.op)) {
-      o.taken = index_or_exit(o.target);
+      o.taken = index_or_exit(o.target());
       o.next = index_or_exit(o.ip + o.length);
     }
     // ret/callr/jmpr/syscall/trap: both successors stay kExit.
@@ -212,66 +174,35 @@ Superblock* SuperblockCache::build(const AddressSpace& mem, uint64_t entry) {
 // Threaded-code dispatch
 // ---------------------------------------------------------------------------
 //
-// With GNU extensions (GCC/Clang) the dispatch is direct-threaded: every
-// handler ends in its own computed goto through the dense jump table, so the
-// branch predictor sees one indirect-jump site per handler instead of a
-// single shared switch site, and straight-line successors are a register
-// increment (build invariant: next == idx + 1 for every non-terminator)
-// rather than a loaded index — no pointer chase on the critical path.
-// Elsewhere the same handler bodies compile as a plain switch loop.
+// With GNU extensions (GCC/Clang) the dispatch is direct-threaded: one
+// handler per VX64_OPS row, each expanding the shared semantics
+// (vm/semantics.hpp) with its own constant opcode and ending in its own
+// computed goto through the jump table, so the branch predictor sees one
+// indirect-jump site per handler instead of a single shared switch site.
+// The current op is a pointer into the trace, and straight-line successors
+// are a pointer increment (build invariant: next == idx + 1 for every
+// non-terminator) rather than a loaded index — no pointer chase on the
+// critical path. Elsewhere the same handlers run as a plain switch loop.
 
 #if defined(__GNUC__) || defined(__clang__)
 #define DYNACUT_DIRECT_THREADING 1
 #endif
-
-#if DYNACUT_DIRECT_THREADING
-#define VX_OP(name) h_##name:
-// The budget is re-checked before entering the next handler; replicating
-// the check keeps it a predictable not-taken branch at every site.
-#define VX_DISPATCH()                     \
-  do {                                    \
-    if (n >= max_instr) goto budget_exit; \
-    goto* jt[code[idx].hidx];             \
-  } while (0)
-#else
-#define VX_OP(name) case Op::name:
-#define VX_DISPATCH() goto loop_top
-#endif
-// Straight-line epilogue: charge the op, advance to the next trace slot.
-#define VX_NEXT()    \
-  do {               \
-    ++n;             \
-    ++idx;           \
-    VX_DISPATCH();   \
-  } while (0)
 
 StepResult SuperblockCache::dispatch(AddressSpace& mem, Cpu& cpu,
                                      const Ref& ref, uint64_t max_instr,
                                      uint64_t& attempted, SbExit& why) {
   Superblock* sb = ref.sb;
   const Superblock::ThreadedOp* const code = sb->ops_.data();
-  uint64_t* const r = cpu.regs.data();
-  int32_t idx = ref.idx;
+  const Superblock::ThreadedOp* pc = code + ref.idx;
   uint64_t n = 0;
   StepResult res{};
   ++entries_;
 
-  // Exit helpers. Every path out of the handlers leaves cpu.ip at the exact
-  // address the interpreter would: retired transfers land on their target,
-  // faults/traps stay on the instruction, budget stops point at the first
-  // instruction not attempted.
-  auto fault = [&](const Superblock::ThreadedOp& o, FaultType t,
-                   uint64_t addr) {
-    cpu.ip = o.ip;
-    ++n;
-    res = {StepKind::kFault, t, addr, false};
-    why = SbExit::kEvent;
-  };
   // Re-validation after a guest store: a write that landed on a spanned
   // executable page (self-modifying code, verifier heal) makes the rest of
   // the trace stale. The store itself retired; execution resumes at the
   // next architectural instruction on the interpreter path.
-  auto deopt_check = [&](uint64_t resume_ip) {
+  const auto deopt = [&](uint64_t resume_ip) {
     if (sb->pages_valid()) return false;
     cpu.ip = resume_ip;
     retire(sb, /*deopt=*/true, resume_ip);
@@ -279,344 +210,124 @@ StepResult SuperblockCache::dispatch(AddressSpace& mem, Cpu& cpu,
     res = StepResult{};
     return true;
   };
+  // Leaves the trace for `to` after a retired transfer.
+  const auto branch_exit = [&](uint64_t to) {
+    cpu.ip = to;
+    res.block_end = true;
+    why = SbExit::kBranch;
+    return false;
+  };
+  // The trace's bookkeeping for a retired (or faulting) *pc beyond the
+  // straight-line case: a store's deopt check, branch successors, and the
+  // exits. Moves pc to the in-trace successor and returns true, or leaves
+  // cpu at the exact state the interpreter would (transfers on their
+  // target, faults/traps on the instruction, syscalls after it) and returns
+  // false.
+  const auto follow = [&](Op op, const Outcome& out) DYNACUT_ALWAYS_INLINE {
+    const Superblock::ThreadedOp& o = *pc;
+    int32_t nx;
+    uint64_t to;
+    switch (out.flow) {
+      case Outcome::kNext:
+        if (!isa::is_terminator(op)) {  // a store: next == idx + 1
+          if (out.wrote && deopt(o.ip + o.length)) return false;
+          ++pc;
+          return true;
+        }
+        nx = o.next;  // untaken conditional branch
+        to = o.ip + o.length;
+        break;
+      case Outcome::kJump:
+        nx = o.taken;
+        to = out.addr;
+        break;
+      case Outcome::kIndirect:
+        return branch_exit(out.addr);
+      case Outcome::kSyscall:
+        cpu.ip = o.ip + o.length;
+        res = {StepKind::kSyscall, FaultType::kNone, 0, true};
+        why = SbExit::kEvent;
+        return false;
+      case Outcome::kTrap:
+        cpu.ip = o.ip;
+        res = {StepKind::kTrap, FaultType::kNone, o.ip, true};
+        why = SbExit::kEvent;
+        return false;
+      case Outcome::kFault:
+      default:
+        cpu.ip = o.ip;
+        res = {StepKind::kFault, out.fault, out.addr, false};
+        why = SbExit::kEvent;
+        return false;
+    }
+    if (nx == Superblock::kExit) return branch_exit(to);
+    // A call's return-address push may have hit a spanned W+X page.
+    if (out.wrote && deopt(to)) return false;
+    pc = code + nx;  // resolved to a trace index: the loop stays hot
+    return true;
+  };
 
 #if DYNACUT_DIRECT_THREADING
-  // Handler order mirrors dense_index(): 0x00..0x23 are kMovRI..kLea in
-  // opcode order, then kNop, kTrap. All nine relative branches share one
-  // handler (it reads o.op for the condition).
-  static const void* const jt[] = {
-      &&h_kMovRI,   // 0x00
-      &&h_kMovRR,   // 0x01
-      &&h_kLoad,    // 0x02
-      &&h_kStore,   // 0x03
-      &&h_kLoadB,   // 0x04
-      &&h_kStoreB,  // 0x05
-      &&h_kAddRR,   // 0x06
-      &&h_kAddRI,   // 0x07
-      &&h_kSubRR,   // 0x08
-      &&h_kSubRI,   // 0x09
-      &&h_kMulRR,   // 0x0A
-      &&h_kDivRR,   // 0x0B
-      &&h_kAndRR,   // 0x0C
-      &&h_kOrRR,    // 0x0D
-      &&h_kXorRR,   // 0x0E
-      &&h_kShlRI,   // 0x0F
-      &&h_kShrRI,   // 0x10
-      &&h_kCmpRR,   // 0x11
-      &&h_kCmpRI,   // 0x12
-      &&h_branch,   // 0x13 kJmp
-      &&h_branch,   // 0x14 kJe
-      &&h_branch,   // 0x15 kJne
-      &&h_branch,   // 0x16 kJlt
-      &&h_branch,   // 0x17 kJle
-      &&h_branch,   // 0x18 kJgt
-      &&h_branch,   // 0x19 kJge
-      &&h_branch,   // 0x1A kJb
-      &&h_branch,   // 0x1B kJae
-      &&h_kCall,    // 0x1C
-      &&h_kRet,     // 0x1D
-      &&h_kCallR,   // 0x1E
-      &&h_kJmpR,    // 0x1F
-      &&h_kPush,    // 0x20
-      &&h_kPop,     // 0x21
-      &&h_kSyscall, // 0x22
-      &&h_kLea,     // 0x23
-      &&h_kNop,     // 0x24
-      &&h_kTrap,    // 0x25
-  };
-  VX_DISPATCH();
+#define VX_OP(name) h_##name:
+  // The budget is re-checked before entering the next handler; replicating
+  // the check keeps it a predictable not-taken branch at every site. The
+  // empty asm names the handler so the compiler cannot merge the identical
+  // tails of handlers that end alike (add_rr and add_ri, say) into one
+  // indirect jump (cross-jumping): each handler keeps its own dispatch site.
+#define VX_DISPATCH(name)                 \
+  do {                                    \
+    if (n >= max_instr) goto budget_exit; \
+    asm volatile("# " #name);             \
+    goto* jt[pc->hidx];                   \
+  } while (0)
+#else
+#define VX_OP(name) case Op::name:
+#define VX_DISPATCH(name) goto loop_top
+#endif
+  // One handler per opcode: the shared semantics, then the trace's
+  // bookkeeping. A straight-line op that wrote no memory moves to the next
+  // slot; everything else goes through follow(). Every attempt counts
+  // once, faults and traps included.
+#define VX_HANDLER(name, byte, format, mnemonic, control)              \
+  VX_OP(name) {                                                         \
+    constexpr bool kStraight = !isa::is_terminator(Op::name);           \
+    const Outcome out = execute<Op::name>(mem, cpu, *pc, pc->ip);       \
+    ++n;                                                                \
+    if (kStraight && out.flow == Outcome::kNext && !out.wrote) {        \
+      ++pc;                                                             \
+    } else if (!follow(Op::name, out)) {                                \
+      goto exit;                                                        \
+    }                                                                   \
+    VX_DISPATCH(name);                                                  \
+  }
+
+#if DYNACUT_DIRECT_THREADING
+#define VX_LABEL(name, byte, format, mnemonic, control) &&h_##name,
+  // Indexed by isa::op_index: the rows of VX64_OPS in order.
+  static const void* const jt[] = {VX64_OPS(VX_LABEL)};
+#undef VX_LABEL
+  VX_DISPATCH(entry);
 #else
 loop_top:
   if (n >= max_instr) goto budget_exit;
-  switch (code[idx].op) {
+  switch (pc->op) {
 #endif
-
-  VX_OP(kMovRI) {
-    const Superblock::ThreadedOp& o = code[idx];
-    r[o.r1] = static_cast<uint64_t>(o.imm);
-    VX_NEXT();
-  }
-  VX_OP(kMovRR) {
-    const Superblock::ThreadedOp& o = code[idx];
-    r[o.r1] = r[o.r2];
-    VX_NEXT();
-  }
-  VX_OP(kLoad) {
-    const Superblock::ThreadedOp& o = code[idx];
-    uint64_t v;
-    Access a = mem.read(r[o.r2] + o.imm, &v, 8, kProtRead);
-    if (!a.ok) {
-      fault(o, FaultType::kSegv, a.fault_addr);
-      goto exit;
-    }
-    r[o.r1] = v;
-    VX_NEXT();
-  }
-  VX_OP(kStore) {
-    const Superblock::ThreadedOp& o = code[idx];
-    Access a = mem.write(r[o.r1] + o.imm, &r[o.r2], 8, kProtWrite);
-    if (!a.ok) {
-      fault(o, FaultType::kSegv, a.fault_addr);
-      goto exit;
-    }
-    ++n;
-    if (deopt_check(o.ip + o.length)) goto exit;
-    ++idx;
-    VX_DISPATCH();
-  }
-  VX_OP(kLoadB) {
-    const Superblock::ThreadedOp& o = code[idx];
-    uint8_t v;
-    Access a = mem.read(r[o.r2] + o.imm, &v, 1, kProtRead);
-    if (!a.ok) {
-      fault(o, FaultType::kSegv, a.fault_addr);
-      goto exit;
-    }
-    r[o.r1] = v;
-    VX_NEXT();
-  }
-  VX_OP(kStoreB) {
-    const Superblock::ThreadedOp& o = code[idx];
-    uint8_t v = static_cast<uint8_t>(r[o.r2]);
-    Access a = mem.write(r[o.r1] + o.imm, &v, 1, kProtWrite);
-    if (!a.ok) {
-      fault(o, FaultType::kSegv, a.fault_addr);
-      goto exit;
-    }
-    ++n;
-    if (deopt_check(o.ip + o.length)) goto exit;
-    ++idx;
-    VX_DISPATCH();
-  }
-  VX_OP(kAddRR) {
-    const Superblock::ThreadedOp& o = code[idx];
-    r[o.r1] += r[o.r2];
-    VX_NEXT();
-  }
-  VX_OP(kAddRI) {
-    const Superblock::ThreadedOp& o = code[idx];
-    r[o.r1] += static_cast<uint64_t>(o.imm);
-    VX_NEXT();
-  }
-  VX_OP(kSubRR) {
-    const Superblock::ThreadedOp& o = code[idx];
-    r[o.r1] -= r[o.r2];
-    VX_NEXT();
-  }
-  VX_OP(kSubRI) {
-    const Superblock::ThreadedOp& o = code[idx];
-    r[o.r1] -= static_cast<uint64_t>(o.imm);
-    VX_NEXT();
-  }
-  VX_OP(kMulRR) {
-    const Superblock::ThreadedOp& o = code[idx];
-    r[o.r1] *= r[o.r2];
-    VX_NEXT();
-  }
-  VX_OP(kDivRR) {
-    const Superblock::ThreadedOp& o = code[idx];
-    if (r[o.r2] == 0) {
-      fault(o, FaultType::kFpe, o.ip);
-      goto exit;
-    }
-    r[o.r1] /= r[o.r2];
-    VX_NEXT();
-  }
-  VX_OP(kAndRR) {
-    const Superblock::ThreadedOp& o = code[idx];
-    r[o.r1] &= r[o.r2];
-    VX_NEXT();
-  }
-  VX_OP(kOrRR) {
-    const Superblock::ThreadedOp& o = code[idx];
-    r[o.r1] |= r[o.r2];
-    VX_NEXT();
-  }
-  VX_OP(kXorRR) {
-    const Superblock::ThreadedOp& o = code[idx];
-    r[o.r1] ^= r[o.r2];
-    VX_NEXT();
-  }
-  VX_OP(kShlRI) {
-    const Superblock::ThreadedOp& o = code[idx];
-    r[o.r1] <<= (o.imm & 63);
-    VX_NEXT();
-  }
-  VX_OP(kShrRI) {
-    const Superblock::ThreadedOp& o = code[idx];
-    r[o.r1] >>= (o.imm & 63);
-    VX_NEXT();
-  }
-  VX_OP(kCmpRR) {
-    const Superblock::ThreadedOp& o = code[idx];
-    set_flags(cpu, r[o.r1], r[o.r2]);
-    VX_NEXT();
-  }
-  VX_OP(kCmpRI) {
-    const Superblock::ThreadedOp& o = code[idx];
-    set_flags(cpu, r[o.r1], static_cast<uint64_t>(o.imm));
-    VX_NEXT();
-  }
-
-#if DYNACUT_DIRECT_THREADING
-h_branch:
-#else
-  case Op::kJmp:
-  case Op::kJe:
-  case Op::kJne:
-  case Op::kJlt:
-  case Op::kJle:
-  case Op::kJgt:
-  case Op::kJge:
-  case Op::kJb:
-  case Op::kJae:
-#endif
-  {
-    const Superblock::ThreadedOp& o = code[idx];
-    const bool taken = branch_taken(cpu, o.op);
-    ++n;
-    const int32_t nx = taken ? o.taken : o.next;
-    if (nx == Superblock::kExit) {
-      cpu.ip = taken ? o.target : o.ip + o.length;
-      res.block_end = true;
-      why = SbExit::kBranch;
-      goto exit;
-    }
-    idx = nx;  // branch resolved to a trace index: the loop stays hot
-    VX_DISPATCH();
-  }
-
-  VX_OP(kCall) {
-    const Superblock::ThreadedOp& o = code[idx];
-    uint64_t ra = o.ip + o.length;
-    cpu.sp() -= 8;
-    // On a push fault sp stays decremented — the interpreter's execute()
-    // behaves identically, and deopt consistency depends on matching it.
-    Access a = mem.write(cpu.sp(), &ra, 8, kProtWrite);
-    if (!a.ok) {
-      fault(o, FaultType::kSegv, a.fault_addr);
-      goto exit;
-    }
-    ++n;
-    if (o.taken == Superblock::kExit) {
-      cpu.ip = o.target;
-      res.block_end = true;
-      why = SbExit::kBranch;
-      goto exit;
-    }
-    if (deopt_check(o.target)) goto exit;  // the ra push may hit a W+X page
-    idx = o.taken;
-    VX_DISPATCH();
-  }
-  VX_OP(kCallR) {
-    const Superblock::ThreadedOp& o = code[idx];
-    uint64_t ra = o.ip + o.length;
-    cpu.sp() -= 8;
-    Access a = mem.write(cpu.sp(), &ra, 8, kProtWrite);
-    if (!a.ok) {
-      fault(o, FaultType::kSegv, a.fault_addr);
-      goto exit;
-    }
-    ++n;
-    cpu.ip = r[o.r1];
-    res.block_end = true;
-    why = SbExit::kBranch;
-    goto exit;
-  }
-  VX_OP(kRet) {
-    const Superblock::ThreadedOp& o = code[idx];
-    uint64_t ra;
-    Access a = mem.read(cpu.sp(), &ra, 8, kProtRead);
-    if (!a.ok) {
-      fault(o, FaultType::kSegv, a.fault_addr);
-      goto exit;
-    }
-    cpu.sp() += 8;
-    cpu.ip = ra;
-    ++n;
-    res.block_end = true;
-    why = SbExit::kBranch;
-    goto exit;
-  }
-  VX_OP(kJmpR) {
-    const Superblock::ThreadedOp& o = code[idx];
-    cpu.ip = r[o.r1];
-    ++n;
-    res.block_end = true;
-    why = SbExit::kBranch;
-    goto exit;
-  }
-  VX_OP(kPush) {
-    const Superblock::ThreadedOp& o = code[idx];
-    cpu.sp() -= 8;
-    Access a = mem.write(cpu.sp(), &r[o.r1], 8, kProtWrite);
-    if (!a.ok) {
-      fault(o, FaultType::kSegv, a.fault_addr);
-      goto exit;
-    }
-    ++n;
-    if (deopt_check(o.ip + o.length)) goto exit;
-    ++idx;
-    VX_DISPATCH();
-  }
-  VX_OP(kPop) {
-    const Superblock::ThreadedOp& o = code[idx];
-    uint64_t v;
-    Access a = mem.read(cpu.sp(), &v, 8, kProtRead);
-    if (!a.ok) {
-      fault(o, FaultType::kSegv, a.fault_addr);
-      goto exit;
-    }
-    cpu.sp() += 8;
-    r[o.r1] = v;
-    VX_NEXT();
-  }
-  VX_OP(kSyscall) {
-    const Superblock::ThreadedOp& o = code[idx];
-    cpu.ip = o.ip + o.length;
-    ++n;
-    res.kind = StepKind::kSyscall;
-    res.block_end = true;
-    why = SbExit::kEvent;
-    goto exit;
-  }
-  VX_OP(kTrap) {
-    const Superblock::ThreadedOp& o = code[idx];
-    // ip intentionally NOT advanced (same contract as the interpreter):
-    // the signal frame records the trap address for patch/re-execute.
-    cpu.ip = o.ip;
-    ++n;
-    res.kind = StepKind::kTrap;
-    res.fault_addr = o.ip;
-    res.block_end = true;
-    why = SbExit::kEvent;
-    goto exit;
-  }
-  VX_OP(kLea) {
-    const Superblock::ThreadedOp& o = code[idx];
-    r[o.r1] = o.target;
-    VX_NEXT();
-  }
-  VX_OP(kNop) {
-    VX_NEXT();
-  }
-
+  VX64_OPS(VX_HANDLER)
 #if !DYNACUT_DIRECT_THREADING
   }
-  goto loop_top;  // unreachable: every handler ends in a jump
+  goto exit;  // unreachable: every listed opcode has a handler
 #endif
+#undef VX_HANDLER
+#undef VX_DISPATCH
+#undef VX_OP
 
 budget_exit:
-  cpu.ip = code[idx].ip;
+  cpu.ip = pc->ip;
   why = SbExit::kBudget;
 exit:
   sb_instrs_ += n;
   attempted += n;
   return res;
 }
-
-#undef VX_OP
-#undef VX_DISPATCH
-#undef VX_NEXT
 
 }  // namespace dynacut::vm

@@ -7,8 +7,8 @@
 // step further, the way DBI engines (DynamoRIO, Pin) do: once a block entry
 // gets hot, the straight-line chain reachable from it across fallthrough
 // and *direct* branches is fused into a superblock — a trace of pre-resolved
-// "threaded code" ops (opcode + register indices + immediate + precomputed
-// branch target) executed by a tight dispatch loop. Branches whose target
+// "threaded code" ops (opcode + register indices + immediate + successor
+// trace indices) executed by a tight dispatch loop. Branches whose target
 // lies inside the trace re-enter it by index, so a serving loop runs
 // entirely inside one superblock with no per-iteration cache traffic.
 //
@@ -60,18 +60,22 @@ class Superblock {
   static constexpr int32_t kExit = -1;
 
   /// A pre-resolved instruction: everything the dispatch loop needs, with
-  /// no decode, no operand resolution and no target arithmetic at run time.
+  /// no decode, no operand resolution and no successor lookup at run time.
   struct ThreadedOp {
     isa::Op op = isa::Op::kNop;
     uint8_t r1 = 0;
     uint8_t r2 = 0;
     uint8_t length = 1;  ///< encoded size (ip advance / syscall resume)
-    uint8_t hidx = 0;    ///< dense dispatch-table index (superblock.cpp)
+    uint8_t hidx = 0;    ///< isa::op_index(op): the dispatch-table slot
     int32_t taken = kExit;  ///< trace index of the taken successor
     int32_t next = kExit;   ///< trace index of the fallthrough successor
     int64_t imm = 0;        ///< immediate / displacement / shift amount
     uint64_t ip = 0;        ///< architectural address of this instruction
-    uint64_t target = 0;    ///< precomputed static transfer / lea target
+
+    /// Static transfer / lea target (ip-relative).
+    uint64_t target() const {
+      return ip + length + static_cast<uint64_t>(imm);
+    }
   };
 
   uint64_t entry() const { return entry_; }

@@ -384,7 +384,7 @@ TEST(DeltaRestore, EpochInvalidatedByRebuildAndRestoreNew) {
   EXPECT_TRUE(rig.vos.dirty_pages_since(rig.pid, e).has_value());
 
   // A clone restored as a *new* process must not honor the donor's epoch.
-  int np = image::restore_new(rig.vos, img);
+  int np = image::spawn_from_image(rig.vos, img);
   EXPECT_NE(np, rig.pid);
   EXPECT_FALSE(rig.vos.dirty_pages_since(np, e).has_value());
 
