@@ -37,10 +37,10 @@ PageRef BlockStore::intern(PageRef block) {
     if (*candidate == *block) {
       ++stats_.dedup_hits;
       // The candidate gains a holder behind its owner's back: a live
-      // address space that still owns it uniquely may have its write
-      // fast-path raw pointer armed, and we cannot reach that cache from
-      // here. Bumping the share epoch disarms every armed cache, so the
-      // owner's next write re-checks use_count and COW-clones.
+      // address space that still owns it uniquely may hold a writable TLB
+      // entry for it, and we cannot reach that TLB from here. Bumping the
+      // share epoch disarms every writable entry, so the owner's next
+      // write re-checks use_count and COW-clones.
       vm::bump_share_epoch();
       return candidate;
     }
@@ -67,7 +67,7 @@ PageRef BlockStore::intern_bytes(std::span<const uint8_t> bytes) {
                    bytes.end())) {
       ++stats_.dedup_hits;
       // Same as intern(): sharing behind the owner's back must disarm any
-      // armed write fast-path cache (see there).
+      // writable TLB entry (see there).
       vm::bump_share_epoch();
       return candidate;
     }

@@ -23,12 +23,13 @@
 //
 // One hazard needs more than the use_count contract: a dedup hit can give
 // a *live, sole-owned* page block a second holder behind its owning
-// AddressSpace's back, while that owner's write fast path still holds an
-// armed raw pointer into the block (legal when it was uniquely owned).
-// intern() cannot reach that cache, so every dedup hit bumps the global
-// vm::share_epoch(); AddressSpace::write() re-validates its armed cache
-// against the epoch before each fast-path store, forcing the owner's next
-// write through writable_page(), which sees the new use_count and clones.
+// AddressSpace's back, while that owner's software TLB still holds a
+// writable entry with a raw pointer into the block (legal when it was
+// uniquely owned). intern() cannot reach that TLB, so every dedup hit
+// bumps the global vm::share_epoch(); AddressSpace::write() disarms every
+// writable entry when the epoch moved, before any fast-path store, forcing
+// the owner's next write to the page through writable_page(), which sees
+// the new use_count and clones.
 #pragma once
 
 #include <cstdint>

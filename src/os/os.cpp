@@ -711,6 +711,8 @@ void Os::do_syscall(Process& p) {
   core.clock += costs_.base;
 
   auto ret = [&](uint64_t v) { r[0] = v; };
+  // A rare oversized transfer must not pin its staging buffer for good.
+  if (io_buf_.capacity() > kIoBufKeep) io_buf_ = {};
 
   switch (num) {
     case sys::kExit:
@@ -722,7 +724,8 @@ void Os::do_syscall(Process& p) {
     case sys::kSend: {
       auto it = p.fds.find(static_cast<int>(a1));
       if (it == p.fds.end()) return ret(sys::kErr);
-      std::vector<uint8_t> buf(a3);
+      std::vector<uint8_t>& buf = io_buf_;
+      buf.resize(a3);
       if (!p.mem.read(a2, buf.data(), a3, kProtRead).ok) {
         return ret(sys::kErr);
       }
@@ -754,8 +757,8 @@ void Os::do_syscall(Process& p) {
                            static_cast<int>(a1));
       }
       uint64_t n = std::min<uint64_t>(a3, q.size());
-      std::vector<uint8_t> buf(q.begin(), q.begin() + static_cast<long>(n));
-      if (!p.mem.write(a2, buf.data(), n, kProtWrite).ok) {
+      io_buf_.assign(q.begin(), q.begin() + static_cast<long>(n));
+      if (!p.mem.write(a2, io_buf_.data(), n, kProtWrite).ok) {
         return ret(sys::kErr);
       }
       q.erase(q.begin(), q.begin() + static_cast<long>(n));

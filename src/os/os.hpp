@@ -265,6 +265,10 @@ class Os {
   SyscallCosts costs_;
   bool yielded_ = false;
   bool superblocks_ = true;
+  /// kSend/kRecv staging between guest memory and socket queues, reused
+  /// across calls; dropped after a transfer larger than kIoBufKeep.
+  static constexpr size_t kIoBufKeep = 64 * 1024;
+  std::vector<uint8_t> io_buf_;
 };
 
 }  // namespace dynacut::os

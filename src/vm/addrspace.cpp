@@ -15,6 +15,12 @@ uint64_t AddressSpace::next_asid() {
 
 namespace {
 std::atomic<uint64_t> g_share_epoch{1};
+
+/// Whether [addr, addr+n) is non-empty and lies in the page at `page`
+/// (overflow-free for any n).
+bool one_page(uint64_t addr, uint64_t n, uint64_t page) {
+  return n - 1 < kPageSize - (addr - page);
+}
 }  // namespace
 
 uint64_t share_epoch() {
@@ -55,8 +61,8 @@ void AddressSpace::bump_exec_generations(uint64_t addr, uint64_t n) {
 }
 
 MemEpoch AddressSpace::snapshot_epoch() {
-  // The write fast path stamps a page only when it (re)establishes its
-  // cache; crossing an epoch boundary must force a fresh stamp.
+  // The write fast path stamps a page only when it arms a TLB entry;
+  // crossing an epoch boundary must force a fresh stamp.
   invalidate_caches();
   return MemEpoch{asid_, epoch_++};
 }
@@ -188,19 +194,17 @@ uint64_t AddressSpace::find_free(uint64_t size, uint64_t hint) const {
 
 AddressSpace::Page& AddressSpace::writable_page(uint64_t page_addr) {
   auto it = pages_.find(page_addr);
-  if (it == pages_.end()) {
-    it = pages_.emplace(page_addr, std::make_shared<Page>(kPageSize, 0))
-             .first;
-  } else if (it->second.use_count() > 1) {
-    // Copy-on-write: the block is visible through a checkpoint image (or a
-    // copied address space) — clone before mutating. The old raw cache
-    // pointer would now write into the shared block; drop it.
-    if (cached_page_addr_ == page_addr) {
-      cached_page_addr_ = ~0ull;
-      cached_page_ = nullptr;
-      cached_page_writable_ = false;
+  if (it == pages_.end() || it->second.use_count() > 1) {
+    // A new page, or copy-on-write: the block is visible through a
+    // checkpoint image (or a copied address space) — clone before
+    // mutating. A TLB entry for the page points at the old block; drop it.
+    if (TlbEntry& e = tlb_entry(page_addr); e.page == page_addr) e = {};
+    if (it == pages_.end()) {
+      it = pages_.emplace(page_addr, std::make_shared<Page>(kPageSize, 0))
+               .first;
+    } else {
+      it->second = std::make_shared<Page>(*it->second);
     }
-    it->second = std::make_shared<Page>(*it->second);
   }
   page_stamps_[page_addr] = epoch_;
   return *it->second;
@@ -225,89 +229,89 @@ Access AddressSpace::check_range(uint64_t addr, uint64_t n,
   return {true, 0};
 }
 
+void AddressSpace::tlb_fill(uint64_t page, uint8_t* data,
+                            bool writable) const {
+  const uint32_t prot = vma_at(page)->prot;
+  uint64_t* gen = writable && (prot & kProtExec) != 0 ? &page_gens_[page]
+                                                      : nullptr;
+  tlb_entry(page) = {page, data, gen, prot, writable};
+}
+
 Access AddressSpace::read(uint64_t addr, void* out, uint64_t n,
                           uint32_t need_prot) const {
-  // Fast path: access within the cached VMA and the cached page.
-  if (cached_vma_ != nullptr && addr >= cached_vma_->start && n > 0 &&
-      addr + n <= cached_vma_->end &&
-      (cached_vma_->prot & need_prot) == need_prot) {
-    uint64_t page = page_floor(addr);
-    if (page == page_floor(addr + n - 1)) {
-      if (page != cached_page_addr_) {
-        auto it = pages_.find(page);
-        if (it != pages_.end()) {
-          cached_page_addr_ = page;
-          cached_page_ = it->second.get();
-          cached_page_writable_ = false;  // possibly shared: read-only view
-        }
-      }
-      if (page == cached_page_addr_) {
-        std::memcpy(out, cached_page_->data() + (addr - page), n);
-        return {true, 0};
-      }
-    }
+  // Fast path: the access lies in one page that the TLB holds.
+  const uint64_t first = page_floor(addr);
+  const TlbEntry& e = tlb_entry(first);
+  if (e.page == first && one_page(addr, n, first) &&
+      (e.prot & need_prot) == need_prot) {
+    std::memcpy(out, e.data + (addr - first), n);
+    return {true, 0};
   }
 
+  ++slow_accesses_;
   Access a = check_range(addr, n, need_prot);
   if (!a.ok) return a;
   auto* dst = static_cast<uint8_t*>(out);
   uint64_t cur = addr;
-  while (n > 0) {
+  uint64_t left = n;
+  while (left > 0) {
     uint64_t page = page_floor(cur);
     uint64_t off = cur - page;
-    uint64_t chunk = std::min<uint64_t>(n, kPageSize - off);
-    if (const Page* p = find_page(page)) {
-      std::memcpy(dst, p->data() + off, chunk);
+    uint64_t chunk = std::min<uint64_t>(left, kPageSize - off);
+    if (auto it = pages_.find(page); it != pages_.end()) {
+      std::memcpy(dst, it->second->data() + off, chunk);
+      // One-page access: arm a read-only entry (the block may be shared).
+      if (chunk == n) tlb_fill(page, it->second->data(), false);
     } else {
       std::memset(dst, 0, chunk);
     }
     dst += chunk;
     cur += chunk;
-    n -= chunk;
+    left -= chunk;
   }
   return {true, 0};
 }
 
 Access AddressSpace::write(uint64_t addr, const void* src, uint64_t n,
                            uint32_t need_prot) {
-  if (cached_vma_ != nullptr && addr >= cached_vma_->start && n > 0 &&
-      addr + n <= cached_vma_->end &&
-      (cached_vma_->prot & need_prot) == need_prot) {
-    uint64_t page = page_floor(addr);
-    if (page == page_floor(addr + n - 1)) {
-      // The raw pointer is only usable if the block is uniquely owned,
-      // already stamped this epoch, and no one shared a block behind our
-      // back since arming (share_epoch moved: BlockStore::intern may have
-      // handed this very block to a new holder); otherwise take the
-      // COW/stamp slow step once and re-arm.
-      if (page != cached_page_addr_ || !cached_page_writable_ ||
-          cached_share_epoch_ != share_epoch()) {
-        Page& p = writable_page(page);
-        cached_page_addr_ = page;
-        cached_page_ = &p;
-        cached_page_writable_ = true;
-        cached_share_epoch_ = share_epoch();
-      }
-      std::memcpy(cached_page_->data() + (addr - page), src, n);
-      if ((cached_vma_->prot & kProtExec) != 0) ++page_gens_[page];
-      return {true, 0};
-    }
+  // A block may have been shared behind our back (BlockStore dedup, see
+  // share_epoch): no armed entry may store through its raw pointer again
+  // before writable_page() has re-checked ownership.
+  if (tlb_share_epoch_ != share_epoch()) {
+    for (TlbEntry& t : tlb_) t.writable = false;
+    tlb_share_epoch_ = share_epoch();
+  }
+  const uint64_t first = page_floor(addr);
+  const TlbEntry& e = tlb_entry(first);
+  if (e.page == first && e.writable && one_page(addr, n, first) &&
+      (e.prot & need_prot) == need_prot) {
+    std::memcpy(e.data + (addr - first), src, n);
+    if (e.gen != nullptr) ++*e.gen;
+    return {true, 0};
   }
 
+  ++slow_accesses_;
   Access a = check_range(addr, n, need_prot);
   if (!a.ok) return a;
   const auto* s = static_cast<const uint8_t*>(src);
   uint64_t cur = addr;
-  while (n > 0) {
+  uint64_t left = n;
+  uint8_t* armed = nullptr;
+  while (left > 0) {
     uint64_t page = page_floor(cur);
     uint64_t off = cur - page;
-    uint64_t chunk = std::min<uint64_t>(n, kPageSize - off);
-    std::memcpy(writable_page(page).data() + off, s, chunk);
+    uint64_t chunk = std::min<uint64_t>(left, kPageSize - off);
+    uint8_t* data = writable_page(page).data();
+    std::memcpy(data + off, s, chunk);
+    if (chunk == n) armed = data;
     s += chunk;
     cur += chunk;
-    n -= chunk;
+    left -= chunk;
   }
-  bump_exec_generations(addr, cur - addr);
+  bump_exec_generations(addr, n);
+  // One-page access: the block is now uniquely owned and stamped this
+  // epoch, so the entry may take fast-path stores.
+  if (armed != nullptr) tlb_fill(first, armed, true);
   return {true, 0};
 }
 
@@ -385,7 +389,9 @@ PageRef AddressSpace::page_block(uint64_t page_addr) const {
   }
   // The block is shared from here on: the write fast path must not keep
   // scribbling into it through its raw pointer.
-  if (cached_page_addr_ == page_addr) cached_page_writable_ = false;
+  if (TlbEntry& e = tlb_entry(page_addr); e.page == page_addr) {
+    e.writable = false;
+  }
   return it->second;
 }
 

@@ -13,6 +13,7 @@
 // writable_page(), which clones a shared block before touching it.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -33,13 +34,13 @@ using PageRef = std::shared_ptr<std::vector<uint8_t>>;
 
 /// Machine-wide share epoch. Every path that hands a block to a new holder
 /// *with the owner's involvement* (page_block, a whole-space copy) disarms
-/// that owner's write fast-path cache directly. Content-addressed dedup
+/// the owner's TLB entry for it directly. Content-addressed dedup
 /// (image::BlockStore::intern) is the one path that shares a live block
 /// *behind its owner's back* — it cannot reach the owning space, so it
-/// bumps this epoch instead, and AddressSpace::write() re-validates its
-/// armed raw-pointer cache against it before every fast-path store. A
-/// mismatch forces one writable_page() walk, which sees the new use_count
-/// and clones (COW) before mutating.
+/// bumps this epoch instead, and AddressSpace::write() disarms every
+/// writable TLB entry when the epoch moved, before any fast-path store. The
+/// next store to each page then takes one writable_page() walk, which sees
+/// the new use_count and clones (COW) before mutating.
 uint64_t share_epoch();
 void bump_share_epoch();
 
@@ -82,12 +83,12 @@ struct MemEpoch {
 class AddressSpace {
  public:
   AddressSpace() = default;
-  // Copies/moves must not carry cache pointers into another object's maps.
+  // Copies/moves must not carry TLB pointers into another object's maps.
   // Copies take a fresh asid (decode caches keyed to the source must not
   // trust the copy); moves keep the source's asid because the map nodes —
   // and thus any generation-slot pointers handed out — move along with it.
-  // A copy shares every page block with the source, so the source's write
-  // caches must drop their raw pointers (the blocks are no longer unique).
+  // A copy shares every page block with the source, so the source's TLB
+  // must drop its raw pointers too (the blocks are no longer unique).
   AddressSpace(const AddressSpace& o)
       : vmas_(o.vmas_),
         pages_(o.pages_),
@@ -113,7 +114,9 @@ class AddressSpace {
         page_gens_(std::move(o.page_gens_)),
         page_stamps_(std::move(o.page_stamps_)),
         epoch_(o.epoch_),
-        asid_(o.asid_) {}
+        asid_(o.asid_) {
+    o.invalidate_caches();
+  }
   AddressSpace& operator=(AddressSpace&& o) noexcept {
     vmas_ = std::move(o.vmas_);
     pages_ = std::move(o.pages_);
@@ -200,6 +203,10 @@ class AddressSpace {
 
   uint64_t vma_count() const { return vmas_.size(); }
 
+  /// Guest reads and writes that missed the software TLB (see tlb_ below)
+  /// and took the VMA/page-map walk. Counted only on that slow path.
+  uint64_t slow_accesses() const { return slow_accesses_; }
+
   // --- checkpoint epochs (dirty tracking) --------------------------------
   /// Takes a checkpoint epoch: every later page modification is "dirty
   /// since" the returned epoch. The soft-dirty analogue of CRIU's pre-copy.
@@ -243,10 +250,27 @@ class AddressSpace {
   const Page* find_page(uint64_t page_addr) const;
   void invalidate_caches() const {
     cached_vma_ = nullptr;
-    cached_page_addr_ = ~0ull;
-    cached_page_ = nullptr;
-    cached_page_writable_ = false;
+    tlb_.fill(TlbEntry{});
   }
+
+  // One software-TLB entry: a populated page, the prot of the VMA covering
+  // it (VMAs are page-aligned, so a page has one prot) and a raw pointer to
+  // its block's bytes. `writable` means the block is uniquely owned AND
+  // dirty-stamped at the current epoch: only then may a store go through
+  // `data`. `gen` is the page's generation slot on exec pages (writable
+  // entries only), so a fast-path store bumps it with one increment.
+  struct TlbEntry {
+    uint64_t page = ~0ull;
+    uint8_t* data = nullptr;
+    uint64_t* gen = nullptr;
+    uint32_t prot = 0;
+    bool writable = false;
+  };
+  static constexpr uint64_t kTlbEntries = 16;
+  TlbEntry& tlb_entry(uint64_t page) const {
+    return tlb_[(page / kPageSize) % kTlbEntries];
+  }
+  void tlb_fill(uint64_t page, uint8_t* data, bool writable) const;
 
   /// Checks [addr, addr+n) lies inside VMAs with `need_prot`; returns the
   /// faulting address otherwise.
@@ -280,20 +304,22 @@ class AddressSpace {
 
   uint64_t asid_ = next_asid();
 
-  // Hot-path caches (guest execution hits the same VMA/page repeatedly).
-  // std::map nodes are pointer-stable across inserts, so these stay valid
-  // until a VMA or page is removed; every structural change invalidates.
-  // cached_page_writable_ marks that the cached block is uniquely owned
-  // AND already dirty-stamped at the current epoch — only then may the
-  // write fast path scribble through the raw pointer. Sharing a block out
-  // (page_block, whole-space copy) or advancing the epoch clears it;
-  // sharing behind this space's back (BlockStore dedup) bumps the global
-  // share_epoch(), which the fast path checks against cached_share_epoch_.
+  // Hot-path caches. std::map nodes and page blocks are pointer-stable, so
+  // these stay valid until a VMA or page is removed or replaced; every
+  // such change invalidates. tlb_ is direct-mapped by page number and
+  // serves guest reads, writes and instruction fetches. A miss takes the
+  // slow path (VMA walk, page lookup, COW/stamp for writes) and refills
+  // the entry: reads arm it read-only, and only for a populated page;
+  // writes arm `writable` after writable_page(). Sharing a block out
+  // (page_block) disarms its entry; a COW clone or page creation drops
+  // it; snapshot_epoch, VMA-layout changes, page install/adopt/drop and
+  // whole-space copies clear the TLB. Sharing behind this space's back
+  // (BlockStore dedup) bumps the global share_epoch(); write() disarms
+  // every entry when it moved since tlb_share_epoch_.
   mutable const Vma* cached_vma_ = nullptr;
-  mutable uint64_t cached_page_addr_ = ~0ull;
-  mutable Page* cached_page_ = nullptr;
-  mutable bool cached_page_writable_ = false;
-  mutable uint64_t cached_share_epoch_ = 0;
+  mutable std::array<TlbEntry, kTlbEntries> tlb_{};
+  mutable uint64_t tlb_share_epoch_ = 0;
+  mutable uint64_t slow_accesses_ = 0;
 };
 
 }  // namespace dynacut::vm

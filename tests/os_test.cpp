@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "apps/libc.hpp"
+#include "apps/minikv.hpp"
 #include "common/error.hpp"
 #include "melf/builder.hpp"
 #include "obs/bus.hpp"
@@ -824,6 +825,31 @@ TEST(Os, ChargeDowntimeGatesOnlyListedPids) {
   EXPECT_GT(os.process(b)->instructions_retired, rb);  // unaffected
   os.run_ticks(80'000);  // advances core clocks past the gate
   EXPECT_GT(os.process(a)->instructions_retired, ra);
+}
+
+TEST(Os, MinikvServingStaysOnGuestMemoryFastPath) {
+  // The fig8 serving loop (minikv answering kvbench's GETs on one core)
+  // alternates stack, heap, bss and code pages. The address space's
+  // software TLB must keep it off the VMA/page-map walk: at most 2 slow
+  // accesses per 1000 retired instructions. This counts rather than times,
+  // so host load cannot decide it.
+  Os vos;
+  const int server = vos.spawn(apps::build_minikv(), {build_libc()});
+  vos.run();  // boot: the heap is touched page by page, then accept blocks
+  const int client = vos.spawn(apps::build_kvbench(), {build_libc()});
+  vos.run(400'000);  // connect, SET, first GETs
+  auto slow = [&] {
+    return vos.process(server)->mem.slow_accesses() +
+           vos.process(client)->mem.slow_accesses();
+  };
+  const uint64_t slow0 = slow();
+  const uint64_t retired0 = vos.total_retired();
+  vos.run(4'000'000);
+  const uint64_t retired = vos.total_retired() - retired0;
+  const uint64_t misses = slow() - slow0;
+  EXPECT_EQ(retired, 4'000'000u);  // still serving: nobody blocked for good
+  EXPECT_LE(misses * 1000, 2 * retired)
+      << misses << " slow accesses over " << retired << " instructions";
 }
 
 TEST(Loader, ResolveSymbolAcrossModules) {

@@ -159,6 +159,178 @@ TEST(AddressSpace, InstallAndReadPage) {
   EXPECT_THROW(as.page_bytes(0x2000), StateError);
 }
 
+// --- software TLB -----------------------------------------------------------
+// Guest reads and writes of one page go through a small direct-mapped TLB of
+// raw block pointers. These pin down every invalidation it depends on: each
+// test arms an entry first, then changes what the page is, then checks that
+// the next access sees the change.
+
+uint64_t read_u64(const AddressSpace& as, uint64_t addr) {
+  uint64_t v = 0;
+  EXPECT_TRUE(as.read(addr, &v, 8, kProtRead).ok) << std::hex << addr;
+  return v;
+}
+
+void write_u64(AddressSpace& as, uint64_t addr, uint64_t v) {
+  EXPECT_TRUE(as.write(addr, &v, 8, kProtWrite).ok) << std::hex << addr;
+}
+
+TEST(AddressSpace, TlbAliasedPagesAlternateReadsAndWrites) {
+  // Pages 16 apart share a slot of the direct-mapped TLB; page+1 does not.
+  constexpr uint64_t kA = 0x100000;
+  constexpr uint64_t kAlias = kA + 16 * kPageSize;
+  AddressSpace as;
+  as.map(kA, 17 * kPageSize, kProtRead | kProtWrite, "data");
+  for (uint64_t i = 0; i < 64; ++i) {
+    write_u64(as, kA + 8 * (i % 8), i);
+    write_u64(as, kAlias + 8 * (i % 8), ~i);
+    EXPECT_EQ(read_u64(as, kA + 8 * (i % 8)), i);
+    EXPECT_EQ(read_u64(as, kAlias + 8 * (i % 8)), ~i);
+  }
+  // Two pages in different slots stay armed side by side.
+  write_u64(as, kA, 1);
+  write_u64(as, kA + kPageSize, 2);
+  const uint64_t slow = as.slow_accesses();
+  for (uint64_t i = 0; i < 64; ++i) {
+    write_u64(as, kA, i);
+    write_u64(as, kA + kPageSize, i + 1);
+    EXPECT_EQ(read_u64(as, kA), i);
+    EXPECT_EQ(read_u64(as, kA + kPageSize), i + 1);
+  }
+  EXPECT_EQ(as.slow_accesses(), slow);
+}
+
+TEST(AddressSpace, TlbSharedBlockStaysUnchanged) {
+  AddressSpace as;
+  as.map(0x1000, 0x1000, kProtRead | kProtWrite, "data");
+  std::vector<uint8_t> page(kPageSize, 0x11);
+  as.install_page(0x1000, page);
+  // Read-armed entry, then share, then write: the write must clone.
+  EXPECT_EQ(read_u64(as, 0x1000) & 0xff, 0x11u);
+  PageRef shared = as.page_block(0x1000);
+  write_u64(as, 0x1000, 0x22);
+  EXPECT_EQ((*shared)[0], 0x11);
+  EXPECT_EQ(read_u64(as, 0x1000), 0x22u);
+  // Write-armed entry, then share: page_block disarms the raw pointer.
+  write_u64(as, 0x1008, 0x33);
+  PageRef again = as.page_block(0x1000);
+  write_u64(as, 0x1008, 0x44);
+  EXPECT_EQ((*again)[8], 0x33);
+  EXPECT_EQ(read_u64(as, 0x1008), 0x44u);
+}
+
+TEST(AddressSpace, TlbDropsEntryOfClonedPage) {
+  // A two-page store clones the shared block of a read-armed page without
+  // re-arming its entry: the entry must not keep naming the old block.
+  AddressSpace as;
+  as.map(0x1000, 0x2000, kProtRead | kProtWrite, "data");
+  write_u64(as, 0x2000, 1);
+  EXPECT_EQ(read_u64(as, 0x2000), 1u);  // armed
+  PageRef shared = as.page_block(0x2000);
+  const uint64_t v = 0x0202020202020202u;
+  ASSERT_TRUE(as.write(0x1ffc, &v, 8, kProtWrite).ok);
+  EXPECT_EQ(read_u64(as, 0x2000) & 0xffffffffu, 0x02020202u);
+  EXPECT_EQ((*shared)[0], 1);
+}
+
+TEST(AddressSpace, TlbProtectAndUnmapFaultAtExactAddress) {
+  AddressSpace as;
+  as.map(0x1000, 0x2000, kProtRead | kProtWrite | kProtExec, "rwx");
+  write_u64(as, 0x1010, 7);  // armed for writes
+  as.protect(0x1000, 0x1000, kProtRead);
+  uint64_t v = 8;
+  Access w = as.write(0x1018, &v, 8, kProtWrite);
+  EXPECT_FALSE(w.ok);
+  EXPECT_EQ(w.fault_addr, 0x1018u);
+  Access x = as.read(0x1010, &v, 1, kProtExec);  // no longer executable
+  EXPECT_FALSE(x.ok);
+  EXPECT_EQ(x.fault_addr, 0x1010u);
+  EXPECT_EQ(read_u64(as, 0x1010), 7u);
+
+  write_u64(as, 0x2020, 9);
+  EXPECT_EQ(read_u64(as, 0x2020), 9u);  // armed for reads
+  as.unmap(0x2000, 0x1000);
+  Access r = as.read(0x2020, &v, 8, kProtRead);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.fault_addr, 0x2020u);
+}
+
+TEST(AddressSpace, TlbSeesDropInstallAndAdopt) {
+  AddressSpace as;
+  as.map(0x1000, 0x1000, kProtRead | kProtWrite, "data");
+  write_u64(as, 0x1000, 5);
+  EXPECT_EQ(read_u64(as, 0x1000), 5u);
+  as.drop_page(0x1000);
+  EXPECT_EQ(read_u64(as, 0x1000), 0u);
+
+  write_u64(as, 0x1000, 5);
+  EXPECT_EQ(read_u64(as, 0x1000), 5u);
+  as.install_page_block(0x1000,
+                        std::make_shared<std::vector<uint8_t>>(kPageSize, 6));
+  EXPECT_EQ(read_u64(as, 0x1000), 0x0606060606060606u);
+
+  // adopt_page_block promises identical bytes; different ones here only
+  // make a stale pointer visible.
+  EXPECT_EQ(read_u64(as, 0x1000), 0x0606060606060606u);
+  as.adopt_page_block(0x1000,
+                      std::make_shared<std::vector<uint8_t>>(kPageSize, 7));
+  EXPECT_EQ(read_u64(as, 0x1000), 0x0707070707070707u);
+  write_u64(as, 0x1000, 8);  // armed for writes, then adopt again
+  as.adopt_page_block(0x1000,
+                      std::make_shared<std::vector<uint8_t>>(kPageSize, 9));
+  write_u64(as, 0x1008, 10);
+  EXPECT_EQ(read_u64(as, 0x1000), 0x0909090909090909u);
+}
+
+TEST(AddressSpace, TlbCopiesAreIsolatedBothWays) {
+  AddressSpace a;
+  a.map(0x1000, 0x1000, kProtRead | kProtWrite, "data");
+  write_u64(a, 0x1000, 1);
+  AddressSpace b;
+  b.map(0x1000, 0x1000, kProtRead | kProtWrite, "data");
+  write_u64(b, 0x1000, 2);
+  b = a;  // both armed for writes before the copy
+  write_u64(a, 0x1000, 3);
+  EXPECT_EQ(read_u64(b, 0x1000), 1u);
+  write_u64(b, 0x1000, 4);
+  EXPECT_EQ(read_u64(a, 0x1000), 3u);
+
+  AddressSpace c(a);  // copy-construct from an armed source
+  write_u64(a, 0x1000, 5);
+  EXPECT_EQ(read_u64(c, 0x1000), 3u);
+  write_u64(c, 0x1000, 6);
+  EXPECT_EQ(read_u64(a, 0x1000), 5u);
+
+  AddressSpace d;
+  d.map(0x1000, 0x1000, kProtRead | kProtWrite, "data");
+  write_u64(d, 0x1000, 7);
+  d = std::move(c);  // the destination's armed entry must go
+  EXPECT_EQ(read_u64(d, 0x1000), 6u);
+  // Whatever a moved-from space still holds, it must not reach the blocks
+  // it gave away.
+  uint64_t v = 8;
+  (void)c.write(0x1000, &v, 8, kProtWrite);
+  EXPECT_EQ(read_u64(d, 0x1000), 6u);
+  write_u64(d, 0x1000, 9);  // armed in d
+  AddressSpace e(std::move(d));
+  (void)d.write(0x1000, &v, 8, kProtWrite);
+  EXPECT_EQ(read_u64(e, 0x1000), 9u);
+}
+
+TEST(AddressSpace, TlbFastPathStoresBumpExecGeneration) {
+  AddressSpace as;
+  as.map(0x1000, 0x1000, kProtRead | kProtWrite | kProtExec, "rwx");
+  uint8_t b = 0x90;
+  ASSERT_TRUE(as.write(0x1000, &b, 1, kProtWrite).ok);
+  const uint64_t gen = as.page_generation(0x1000);
+  const uint64_t slow = as.slow_accesses();
+  for (uint64_t i = 1; i <= 10; ++i) {
+    ASSERT_TRUE(as.write(0x1000 + i, &b, 1, kProtWrite).ok);
+    EXPECT_EQ(as.page_generation(0x1000), gen + i);
+  }
+  EXPECT_EQ(as.slow_accesses(), slow);  // all ten took the fast path
+}
+
 // ---------------------------------------------------------------------------
 // Executor
 // ---------------------------------------------------------------------------
@@ -1117,7 +1289,9 @@ TEST(Superblock, AddressSpaceRebuildDropsTraces) {
 // Seeded random VX64 programs run on every execution tier: uncached step,
 // decode-cache step, decode-cache run_block and superblock run_block. One
 // deterministic host drives them all (syscall, trap and fault handling, and
-// exec-page pokes at fixed retired counts), so every tier must retire the
+// at fixed retired counts exec-page pokes, protection flips of the data page
+// and of a code page, and unmap/remap of the data page), so every tier must
+// retire the
 // same architectural state: the same event sequence (retired count, kind,
 // fault type and address, ip, registers and flags at each event), and the
 // same final registers, flags, ip, memory digest and total retired count.
@@ -1141,15 +1315,27 @@ constexpr int kDataReg = 14;
 constexpr uint64_t kSysExit = 0;
 constexpr uint64_t kSysPoke = 1;  ///< poke byte r2 at code address r1
 
-struct DiffPoke {
-  uint64_t at;  ///< retired count at which the host pokes
-  uint64_t addr;
-  uint8_t byte;
+/// A host edit at a fixed retired count.
+struct DiffEdit {
+  enum Kind : uint8_t {
+    kPoke,       ///< poke `byte` at code address `addr`
+    kDataRo,     ///< protect the data page read-only
+    kDataRw,     ///< protect the data page read-write
+    kCodeRx,     ///< protect the code page at `addr` read+exec
+    kCodeRwx,    ///< protect the code page at `addr` read+write+exec
+    kUnmapData,  ///< unmap the data page (its bytes are discarded)
+    kRemapData,  ///< map a zero read-write data page again
+    kKinds
+  };
+  uint64_t at;  ///< retired count at which the host edits
+  Kind kind = kPoke;
+  uint64_t addr = 0;
+  uint8_t byte = 0;
 };
 
 struct DiffProgram {
   std::vector<uint8_t> code;    ///< exactly kDiffCodeSize bytes
-  std::vector<DiffPoke> pokes;  ///< ascending `at`
+  std::vector<DiffEdit> edits;  ///< ascending `at`
   uint64_t quantum = 256;       ///< run_block budget per call
 };
 
@@ -1183,13 +1369,20 @@ class DiffGen {
     for (uint64_t i = pick(4); i > 0; --i) {
       static constexpr uint8_t kBytes[] = {0xCC, 0x90, 0x00, 0x14};
       uint8_t b = pick(3) ? kBytes[pick(4)] : static_cast<uint8_t>(rng_());
-      prog_.pokes.push_back(
-          {1 + pick(20000), kDiffCode + pick(used_), b});
+      prog_.edits.push_back({1 + pick(20000), DiffEdit::kPoke,
+                             kDiffCode + pick(used_), b});
     }
-    std::sort(prog_.pokes.begin(), prog_.pokes.end(),
-              [](const DiffPoke& a, const DiffPoke& b) { return a.at < b.at; });
     static constexpr uint64_t kQuanta[] = {1, 5, 64, 256, 4096};
     prog_.quantum = kQuanta[pick(5)];
+    for (uint64_t i = 1 + pick(6); i > 0; --i) {
+      const auto kind = static_cast<DiffEdit::Kind>(
+          1 + pick(DiffEdit::kKinds - 1));
+      prog_.edits.push_back(
+          {1 + pick(20000), kind, kDiffCode + kPageSize * pick(3), 0});
+    }
+    std::stable_sort(
+        prog_.edits.begin(), prog_.edits.end(),
+        [](const DiffEdit& a, const DiffEdit& b) { return a.at < b.at; });
     return std::move(prog_);
   }
 
@@ -1437,6 +1630,7 @@ struct DiffStats {
   uint64_t sb_deopts = 0;
   uint64_t sb_instrs = 0;
   uint64_t dc_invalidations = 0;
+  std::set<DiffEdit::Kind> edits;  ///< kinds the host really applied
 };
 
 uint64_t fnv(uint64_t h, const void* p, size_t n) {
@@ -1492,6 +1686,39 @@ bool diff_host_event(AddressSpace& mem, Cpu& cpu, const StepResult& r) {
   return true;
 }
 
+/// Applies one host edit. A protect or unmap of an unmapped data page, and a
+/// remap of a mapped one, are no-ops; returns whether the edit applied.
+bool diff_host_edit(AddressSpace& mem, const DiffEdit& e) {
+  const bool data = mem.vma_at(kDiffData) != nullptr;
+  switch (e.kind) {
+    case DiffEdit::kPoke:
+      mem.poke(e.addr, &e.byte, 1);
+      return true;
+    case DiffEdit::kDataRo:
+    case DiffEdit::kDataRw:
+      if (data) {
+        mem.protect(kDiffData, kPageSize,
+                    kProtRead | (e.kind == DiffEdit::kDataRw ? kProtWrite : 0));
+      }
+      return data;
+    case DiffEdit::kCodeRx:
+    case DiffEdit::kCodeRwx:
+      mem.protect(e.addr, kPageSize,
+                  kProtRead | kProtExec |
+                      (e.kind == DiffEdit::kCodeRwx ? kProtWrite : 0));
+      return true;
+    case DiffEdit::kUnmapData:
+      if (data) mem.unmap(kDiffData, kPageSize);
+      return data;
+    case DiffEdit::kRemapData:
+      if (!data) mem.map(kDiffData, kPageSize, kProtRead | kProtWrite, "data");
+      return !data;
+    case DiffEdit::kKinds:
+      break;
+  }
+  return false;
+}
+
 DiffOutcome run_tier(const DiffProgram& p, Tier tier, DiffStats& stats) {
   AddressSpace mem;
   mem.map(kDiffCode, kDiffCodeSize, kProtRead | kProtWrite | kProtExec,
@@ -1511,17 +1738,19 @@ DiffOutcome run_tier(const DiffProgram& p, Tier tier, DiffStats& stats) {
 
   DiffOutcome out;
   uint64_t retired = 0;
-  size_t next_poke = 0;
+  size_t next_edit = 0;
   while (retired < kDiffMaxAttempts) {
     uint64_t limit = kDiffMaxAttempts;
-    if (next_poke < p.pokes.size()) {
-      const DiffPoke& pk = p.pokes[next_poke];
-      if (retired >= pk.at) {
-        mem.poke(pk.addr, &pk.byte, 1);
-        ++next_poke;
+    if (next_edit < p.edits.size()) {
+      const DiffEdit& e = p.edits[next_edit];
+      if (retired >= e.at) {
+        if (diff_host_edit(mem, e) && tier == Tier::kStep) {
+          stats.edits.insert(e.kind);
+        }
+        ++next_edit;
         continue;
       }
-      limit = std::min(limit, pk.at);
+      limit = std::min(limit, e.at);
     }
     const uint64_t budget = std::min(p.quantum, limit - retired);
     uint64_t n = 1;
@@ -1566,11 +1795,19 @@ DiffOutcome run_tier(const DiffProgram& p, Tier tier, DiffStats& stats) {
   out.ip = cpu.ip;
   out.flags = cpu.pack_flags();
   out.retired = retired;
+  // Every page of the four regions, with its protection; an unmapped page
+  // mixes in a marker.
   uint64_t h = 0xcbf29ce484222325ull;
-  for (uint64_t base : {kDiffCode, kDiffData, kDiffRoData, kDiffStack}) {
-    const Vma* v = mem.vma_at(base);
-    auto bytes = mem.peek_bytes(base, v->end - v->start);
-    h = fnv(h, bytes.data(), bytes.size());
+  for (uint64_t page : {kDiffCode, kDiffCode + kPageSize,
+                        kDiffCode + 2 * kPageSize, kDiffData, kDiffRoData,
+                        kDiffStack}) {
+    const Vma* v = mem.vma_at(page);
+    const uint32_t prot = v == nullptr ? ~0u : v->prot;
+    h = fnv(h, &prot, sizeof prot);
+    if (v != nullptr) {
+      auto bytes = mem.peek_bytes(page, kPageSize);
+      h = fnv(h, bytes.data(), bytes.size());
+    }
   }
   out.mem_digest = h;
   stats.sb_builds += sbc.builds();
@@ -1636,6 +1873,10 @@ TEST(TierDifferential, RandomProgramsRetireIdenticalStateOnEveryTier) {
   EXPECT_GT(stats.sb_retires, stats.sb_deopts);
   EXPECT_GT(stats.sb_instrs, 0u);
   EXPECT_GT(stats.dc_invalidations, 0u);
+  for (int k = 0; k < DiffEdit::kKinds; ++k) {
+    EXPECT_EQ(stats.edits.count(static_cast<DiffEdit::Kind>(k)), 1u)
+        << "host edit kind " << k << " never applied";
+  }
 }
 
 }  // namespace
