@@ -14,11 +14,18 @@
 // instruction starts (boundary checking), per-block terminators, reverse
 // edges, per-function subgraphs with dominator trees, and the direct call
 // graph.
+//
+// Every reachable instruction is decoded exactly once, by recover_cfg, into
+// the offset-sorted StaticCfg::instrs array; blocks index into it and every
+// later pass (dataflow, slicer, cutcheck) reads it instead of re-decoding.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "isa/isa.hpp"
@@ -30,6 +37,8 @@ struct CfgBlock {
   uint64_t offset = 0;  ///< module-relative start
   uint32_t size = 0;
   uint32_t instr_count = 0;
+  /// Indices of the first and the last instruction in StaticCfg::instrs.
+  uint32_t first_instr = 0, last_instr = 0;
   std::vector<uint64_t> succs;  ///< static successors (module-relative)
   /// Opcode ending the block; kNop when the block ends only because the
   /// next instruction is a leader (straight-line split, pure fallthrough).
@@ -38,10 +47,12 @@ struct CfgBlock {
 
 struct StaticCfg {
   std::map<uint64_t, CfgBlock> blocks;  ///< keyed by start offset
-  /// Every statically reachable instruction start. Supersets the block
-  /// starts; overlapping decodings (a jump into an immediate) contribute
-  /// every offset the traversal actually decoded at.
-  std::set<uint64_t> instr_starts;
+  /// Every statically reachable instruction start, ascending. Supersets the
+  /// block starts; overlapping decodings (a jump into an immediate)
+  /// contribute every offset the traversal actually decoded at.
+  std::vector<uint64_t> instr_starts;
+  /// instrs[i] is the instruction decoded at instr_starts[i].
+  std::vector<isa::Instr> instrs;
 
   size_t block_count() const { return blocks.size(); }
   uint64_t code_bytes() const {
@@ -51,7 +62,26 @@ struct StaticCfg {
   }
 
   bool is_instr_start(uint64_t off) const {
-    return instr_starts.count(off) != 0;
+    return std::binary_search(instr_starts.begin(), instr_starts.end(), off);
+  }
+  /// Index of the reachable instruction whose encoding covers `off` (as its
+  /// first byte or an interior byte), if any.
+  std::optional<size_t> covering_instr(uint64_t off) const;
+  /// Index of the instruction at instrs[i]'s fallthrough offset when that
+  /// offset was decoded; otherwise the first index past it.
+  size_t next_instr(size_t i) const {
+    const uint64_t next = instr_starts[i] + instrs[i].length;
+    while (++i < instr_starts.size() && instr_starts[i] < next) {
+    }
+    return i;
+  }
+  /// Calls f(offset, instr) for each of `b`'s instructions in order.
+  template <class F>
+  void for_each_instr(const CfgBlock& b, F&& f) const {
+    size_t i = b.first_instr;
+    for (uint32_t n = 0; n < b.instr_count; ++n, i = next_instr(i)) {
+      f(instr_starts[i], instrs[i]);
+    }
   }
   /// The block starting exactly at `off`, or nullptr.
   const CfgBlock* block_at(uint64_t off) const;
@@ -64,11 +94,6 @@ StaticCfg recover_cfg(const melf::Binary& bin);
 
 /// Total static basic-block count (the paper's Angr number).
 size_t total_block_count(const melf::Binary& bin);
-
-/// Decodes the instruction at module-relative `off` from whichever
-/// executable section covers it. Returns false outside code or on invalid
-/// encodings.
-bool decode_at(const melf::Binary& bin, uint64_t off, isa::Instr& out);
 
 /// Reverse edges: block start -> starts of the blocks with an edge into it.
 /// Only targets that are block starts appear as keys.
@@ -109,6 +134,26 @@ struct FuncCfg {
   uint64_t entry = 0;
   std::set<uint64_t> blocks;
   std::map<uint64_t, std::vector<uint64_t>> succs;
+};
+
+/// A FuncCfg numbered densely for per-function passes: blocks in ascending
+/// offset order, intra-function edges as index lists (CSR) both ways. Edges
+/// to blocks outside `f` are dropped (split_functions makes none).
+struct DenseFunc {
+  explicit DenseFunc(const FuncCfg& f);
+  /// Dense index of block `off`, or size() when `f` lacks it.
+  uint32_t index_of(uint64_t off) const;
+  uint32_t size() const { return static_cast<uint32_t>(blocks.size()); }
+  std::span<const uint32_t> succs(uint32_t b) const {
+    return {succ.data() + succ_begin[b], succ.data() + succ_begin[b + 1]};
+  }
+  std::span<const uint32_t> preds(uint32_t b) const {
+    return {pred.data() + pred_begin[b], pred.data() + pred_begin[b + 1]};
+  }
+
+  std::vector<uint64_t> blocks;
+  std::vector<uint32_t> succ_begin, succ;  ///< succs(b) = succ[begin[b]..]
+  std::vector<uint32_t> pred_begin, pred;
 };
 
 /// Partitions `cfg` into per-function subgraphs keyed by function entry,

@@ -86,18 +86,6 @@ struct Ctx {
   }
 };
 
-/// The reachable instruction whose encoding covers `off` (as its first byte
-/// or an interior byte), if any.
-std::optional<uint64_t> covering_instr(const Ctx& c, uint64_t off) {
-  auto it = c.m.cfg.instr_starts.upper_bound(off);
-  if (it == c.m.cfg.instr_starts.begin()) return std::nullopt;
-  --it;
-  isa::Instr ins;
-  if (!decode_at(c.bin, *it, ins)) return std::nullopt;
-  if (off < *it + ins.length) return *it;
-  return std::nullopt;
-}
-
 // --- CC001: block boundaries --------------------------------------------
 
 void check_boundary(Ctx& c) {
@@ -109,13 +97,14 @@ void check_boundary(Ctx& c) {
       continue;
     }
     if (!c.m.cfg.is_instr_start(off)) {
-      if (auto host = covering_instr(c, off)) {
+      if (auto host = c.m.cfg.covering_instr(off)) {
+        const uint64_t at = c.m.cfg.instr_starts[*host];
         c.add(kRuleBoundary, Severity::kError, off,
               "block starts mid-instruction, inside the encoding at " +
-                  hex_addr(*host) + "; patching here corrupts a live " +
+                  hex_addr(at) + "; patching here corrupts a live " +
                   "instruction",
               "align the block to the instruction boundary at " +
-                  hex_addr(*host));
+                  hex_addr(at));
       } else {
         c.add(kRuleBoundary, Severity::kWarning, off,
               "block start is not statically reachable; boundary checks "
@@ -341,7 +330,8 @@ void check_page_safety(Ctx& c) {
     // union of their bytes does not cover the page. Diff against the true
     // byte coverage.
     for (const auto& [gb, ge] : c.range_bytes.gaps(page, pend)) {
-      auto it = c.m.cfg.instr_starts.lower_bound(gb);
+      auto it = std::lower_bound(c.m.cfg.instr_starts.begin(),
+                                 c.m.cfg.instr_starts.end(), gb);
       bool has_code = it != c.m.cfg.instr_starts.end() && *it < ge;
       if (!has_code) has_code = c.m.cfg.block_containing(gb) != nullptr;
       if (has_code) {
@@ -616,8 +606,8 @@ int64_t sp_depth_at(const Ctx& c, const slicer::FuncDataflow& fd,
   }
   int64_t depth = dit->second;
   uint64_t cur = blk->offset;
-  isa::Instr ins;
-  while (cur < off && decode_at(c.bin, cur, ins)) {
+  for (size_t i = blk->first_instr; cur < off; i = c.m.cfg.next_instr(i)) {
+    const isa::Instr& ins = c.m.cfg.instrs[i];
     switch (ins.op) {
       case isa::Op::kPush: depth -= 8; break;
       case isa::Op::kPop:

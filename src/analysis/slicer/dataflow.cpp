@@ -1,7 +1,7 @@
 #include "analysis/slicer/dataflow.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <bit>
 #include <optional>
 
 namespace dynacut::analysis::slicer {
@@ -16,14 +16,11 @@ uint16_t bit(int reg) { return static_cast<uint16_t>(1u << reg); }
 
 /// Immutable per-module context shared by both analyses.
 struct ModCtx {
-  const melf::Binary& bin;
-  const StaticCfg& cfg;
   std::map<uint64_t, int64_t> abs_relocs;  ///< offset -> addend (kAbs64)
   uint64_t got_begin = 0, got_end = 0;
   std::vector<std::pair<uint64_t, uint64_t>> data_extents;  // rodata+data
 
-  explicit ModCtx(const melf::Binary& b, const StaticCfg& c)
-      : bin(b), cfg(c) {
+  explicit ModCtx(const melf::Binary& b) {
     for (const auto& rel : b.relocs) {
       if (rel.kind == melf::RelocKind::kAbs64) {
         abs_relocs[rel.offset] = rel.addend;
@@ -230,64 +227,80 @@ AbsVal join(const AbsVal& a, const AbsVal& b) {
 }
 
 ModuleDataflow analyze_module(const melf::Binary& bin, const StaticCfg& cfg) {
-  ModCtx mc(bin, cfg);
+  ModCtx mc(bin);
   ModuleDataflow out;
 
-  std::set<uint64_t> entry_like;  ///< blocks whose in-state is pinned unknown
+  // Dense block numbering in offset order; edges to block starts only.
+  std::vector<const CfgBlock*> blocks;
+  blocks.reserve(cfg.blocks.size());
+  for (const auto& [off, blk] : cfg.blocks) blocks.push_back(&blk);
+  const uint32_t n = static_cast<uint32_t>(blocks.size());
+  auto index_of = [&](uint64_t off) -> uint32_t {
+    auto it = std::lower_bound(blocks.begin(), blocks.end(), off,
+                               [](auto* b, auto o) { return b->offset < o; });
+    return it != blocks.end() && (*it)->offset == off ? it - blocks.begin() : n;
+  };
+  std::vector<uint32_t> succ_begin(1, 0), succs;
+  std::vector<uint8_t> entry_like(n, 1);  ///< in-state pinned unknown
+  for (const CfgBlock* blk : blocks) {
+    for (uint64_t t : blk->succs) {
+      uint32_t ti = index_of(t);
+      if (ti == n) continue;
+      succs.push_back(ti);
+      entry_like[ti] = 0;  // has a predecessor
+    }
+    succ_begin.push_back(static_cast<uint32_t>(succs.size()));
+  }
   for (const auto& sym : bin.symbols) {
-    if (sym.is_function && cfg.blocks.count(sym.value) != 0) {
-      entry_like.insert(sym.value);
-    }
-  }
-  auto preds = predecessors(cfg);
-  for (const auto& [off, blk] : cfg.blocks) {
-    if (preds.count(off) == 0) entry_like.insert(off);
+    if (!sym.is_function) continue;
+    if (uint32_t i = index_of(sym.value); i != n) entry_like[i] = 1;
   }
 
+  // Entry states live in the output map; in[b] points at b's.
   RegState all_unknown{};
-  std::deque<uint64_t> work(entry_like.begin(), entry_like.end());
-  for (uint64_t b : entry_like) out.block_in[b] = all_unknown;
+  std::vector<RegState*> in(n, nullptr);
+  std::vector<uint32_t> work;  // FIFO: `head` is the front
+  for (uint32_t i = 0; i < n; ++i) {
+    if (!entry_like[i]) continue;
+    in[i] = &out.block_in.emplace_hint(out.block_in.end(), blocks[i]->offset,
+                                       all_unknown)
+                 ->second;
+    work.push_back(i);
+  }
 
-  // Forward fixpoint: states only descend (flat lattices per register), so
-  // the worklist terminates without an iteration cap.
-  while (!work.empty()) {
-    uint64_t boff = work.front();
-    work.pop_front();
-    auto iit = out.block_in.find(boff);
-    if (iit == out.block_in.end()) continue;
-    const CfgBlock& blk = cfg.blocks.at(boff);
+  // Forward fixpoint: states only rise towards unknown (flat lattices per
+  // register), so it terminates without an iteration cap. The FIFO keeps
+  // repeats: transfer is not monotone (kModOff - c vs kModOffVar), so the
+  // visiting order is part of the answer.
+  for (size_t head = 0; head < work.size(); ++head) {
+    const uint32_t b = work[head];
+    const CfgBlock& blk = *blocks[b];
+    RegState s = *in[b];
+    cfg.for_each_instr(blk, [&](uint64_t off, const isa::Instr& ins) {
+      transfer(mc, off, blk.offset, ins, s, nullptr);
+    });
 
-    RegState s = iit->second;
-    uint64_t cur = boff;
-    isa::Instr ins;
-    for (uint32_t i = 0; i < blk.instr_count && decode_at(bin, cur, ins);
-         ++i) {
-      transfer(mc, cur, boff, ins, s, nullptr);
-      cur += ins.length;
-    }
-
-    uint64_t fallthrough = boff + blk.size;
-    for (uint64_t t : blk.succs) {
-      if (cfg.blocks.count(t) == 0) continue;
+    uint64_t fallthrough = blk.offset + blk.size;
+    for (uint32_t e = succ_begin[b]; e < succ_begin[b + 1]; ++e) {
+      const uint32_t t = succs[e];
+      if (entry_like[t]) continue;  // pinned to all-unknown
       RegState edge = s;
-      bool is_call_fall = (blk.term == Op::kCall || blk.term == Op::kCallR) &&
-                          t == fallthrough;
-      if (is_call_fall) {
+      if ((blk.term == Op::kCall || blk.term == Op::kCallR) &&
+          blocks[t]->offset == fallthrough) {
         for (int r = 0; r < isa::kNumRegs; ++r) {
           if ((kCallerSavedMask & bit(r)) != 0) edge[r] = AbsVal::unknown();
         }
       }
-      if (entry_like.count(t) != 0) continue;  // pinned to all-unknown
-      auto [eit, inserted] = out.block_in.try_emplace(t, edge);
-      if (inserted) {
+      if (in[t] == nullptr) {
+        in[t] = &out.block_in.emplace(blocks[t]->offset, edge).first->second;
         work.push_back(t);
         continue;
       }
       bool changed = false;
       for (int r = 0; r < isa::kNumRegs; ++r) {
-        AbsVal j = join(eit->second[r], edge[r]);
-        if (!(j == eit->second[r])) {
-          eit->second[r] = j;
+        AbsVal j = join((*in[t])[r], edge[r]);
+        if (!(j == (*in[t])[r])) {
+          (*in[t])[r] = j;
           changed = true;
         }
       }
@@ -297,46 +310,43 @@ ModuleDataflow analyze_module(const melf::Binary& bin, const StaticCfg& cfg) {
 
   // Final pass: with stable entry states, record memory references and the
   // transfer-register value at every indirect terminator.
-  for (const auto& [boff, blk] : cfg.blocks) {
-    RegState s = all_unknown;
-    if (auto it = out.block_in.find(boff); it != out.block_in.end()) {
-      s = it->second;
-    }
-    uint64_t cur = boff;
-    isa::Instr ins;
-    for (uint32_t i = 0; i < blk.instr_count && decode_at(bin, cur, ins);
-         ++i) {
+  for (uint32_t b = 0; b < n; ++b) {
+    const CfgBlock& blk = *blocks[b];
+    RegState s = in[b] != nullptr ? *in[b] : all_unknown;
+    const uint64_t end = blk.offset + blk.size;
+    cfg.for_each_instr(blk, [&](uint64_t off, const isa::Instr& ins) {
       if ((ins.op == Op::kCallR || ins.op == Op::kJmpR) &&
-          cur + ins.length == boff + blk.size) {
-        out.indirect_reg[boff] = s[ins.r1];
+          off + ins.length == end) {
+        out.indirect_reg.emplace_hint(out.indirect_reg.end(), blk.offset,
+                                      s[ins.r1]);
       }
-      transfer(mc, cur, boff, ins, s, &out.mem_refs);
-      cur += ins.length;
-    }
+      transfer(mc, off, blk.offset, ins, s, &out.mem_refs);
+    });
   }
   return out;
 }
 
-FuncDataflow analyze_function(const melf::Binary& bin, const StaticCfg& cfg,
-                              const FuncCfg& f) {
+FuncDataflow analyze_function(const StaticCfg& cfg, const FuncCfg& f) {
   FuncDataflow out;
+  const DenseFunc d(f);
+  const uint32_t n = d.size();
 
   // Per-block facts: def/use masks and net stack delta.
-  for (uint64_t boff : f.blocks) {
-    const CfgBlock* blk = cfg.block_at(boff);
+  std::vector<BlockFacts> facts(n);
+  std::vector<uint8_t> has(n, 0);
+  for (uint32_t b = 0; b < n; ++b) {
+    const CfgBlock* blk = cfg.block_at(d.blocks[b]);
     if (blk == nullptr) continue;
-    BlockFacts facts;
-    uint64_t cur = boff;
-    isa::Instr ins;
+    has[b] = 1;
+    BlockFacts& fb = facts[b];
     auto use = [&](int r) {
-      if ((facts.def_mask & bit(r)) == 0) facts.use_mask |= bit(r);
+      if ((fb.def_mask & bit(r)) == 0) fb.use_mask |= bit(r);
     };
-    auto def = [&](int r) { facts.def_mask |= bit(r); };
-    auto bump = [&](int64_t d) {
-      if (facts.stack_delta != kUnknownDepth) facts.stack_delta += d;
+    auto def = [&](int r) { fb.def_mask |= bit(r); };
+    auto bump = [&](int64_t delta) {
+      if (fb.stack_delta != kUnknownDepth) fb.stack_delta += delta;
     };
-    for (uint32_t i = 0; i < blk->instr_count && decode_at(bin, cur, ins);
-         ++i) {
+    cfg.for_each_instr(*blk, [&](uint64_t, const isa::Instr& ins) {
       switch (ins.op) {
         case Op::kMovRI: def(ins.r1); break;
         case Op::kMovRR: use(ins.r2); def(ins.r1); break;
@@ -384,7 +394,8 @@ FuncDataflow analyze_function(const melf::Binary& bin, const StaticCfg& cfg,
           break;
         default: break;
       }
-      // SP written non-incrementally poisons the whole block's delta.
+      // SP written non-incrementally (pop r15 included) poisons the whole
+      // block's delta.
       bool writes_sp =
           (ins.op == Op::kMovRI || ins.op == Op::kMovRR || ins.op == Op::kLea ||
            ins.op == Op::kLoad || ins.op == Op::kLoadB ||
@@ -397,124 +408,116 @@ FuncDataflow analyze_function(const melf::Binary& bin, const StaticCfg& cfg,
         bump(-ins.imm);
         writes_sp = false;
       }
-      if (writes_sp && !(ins.op == Op::kPop && ins.r1 == isa::kSpReg)) {
-        // pop r15 both moves and overwrites SP; either way it is unknown.
-      }
-      if (writes_sp) facts.stack_delta = kUnknownDepth;
-      cur += ins.length;
-    }
-    out.facts[boff] = facts;
-  }
-
-  // Intra-function predecessors.
-  std::map<uint64_t, std::vector<uint64_t>> preds;
-  for (const auto& [boff, succs] : f.succs) {
-    for (uint64_t t : succs) preds[t].push_back(boff);
+      if (writes_sp) fb.stack_delta = kUnknownDepth;
+    });
+    out.facts.emplace_hint(out.facts.end(), d.blocks[b], fb);
   }
 
   // Backward liveness to a fixed point.
-  for (uint64_t b : f.blocks) {
-    out.live_in[b] = 0;
-    out.live_out[b] = 0;
-  }
-  bool changed = true;
-  while (changed) {
+  std::vector<uint16_t> live_in(n, 0), live_out(n, 0);
+  for (bool changed = true; changed;) {
     changed = false;
-    for (auto it = f.blocks.rbegin(); it != f.blocks.rend(); ++it) {
-      uint64_t b = *it;
-      auto fit = out.facts.find(b);
-      if (fit == out.facts.end()) continue;
+    for (uint32_t b = n; b-- > 0;) {
+      if (!has[b]) continue;
       uint16_t lo = 0;
-      auto sit = f.succs.find(b);
-      if (sit == f.succs.end() || sit->second.empty()) {
+      if (d.succs(b).empty()) {
         lo = bit(0);  // exits: the return value is observable
       } else {
-        for (uint64_t t : sit->second) lo |= out.live_in[t];
+        for (uint32_t t : d.succs(b)) lo |= live_in[t];
       }
-      uint16_t li = fit->second.use_mask |
-                    static_cast<uint16_t>(lo & ~fit->second.def_mask);
-      if (lo != out.live_out[b] || li != out.live_in[b]) {
-        out.live_out[b] = lo;
-        out.live_in[b] = li;
+      uint16_t li = facts[b].use_mask |
+                    static_cast<uint16_t>(lo & ~facts[b].def_mask);
+      if (lo != live_out[b] || li != live_in[b]) {
+        live_out[b] = lo;
+        live_in[b] = li;
         changed = true;
       }
     }
+  }
+  for (uint32_t b = 0; b < n; ++b) {
+    out.live_in.emplace_hint(out.live_in.end(), d.blocks[b], live_in[b]);
+    out.live_out.emplace_hint(out.live_out.end(), d.blocks[b], live_out[b]);
   }
 
   // Forward stack depth from the function entry.
-  out.depth_in[f.entry] = 0;
-  std::deque<uint64_t> work{f.entry};
-  while (!work.empty()) {
-    uint64_t b = work.front();
-    work.pop_front();
-    auto dit = out.depth_in.find(b);
-    auto fit = out.facts.find(b);
-    if (dit == out.depth_in.end() || fit == out.facts.end()) continue;
-    int64_t depth_out =
-        (dit->second == kUnknownDepth ||
-         fit->second.stack_delta == kUnknownDepth)
-            ? kUnknownDepth
-            : dit->second + fit->second.stack_delta;
-    auto sit = f.succs.find(b);
-    if (sit == f.succs.end()) continue;
-    for (uint64_t t : sit->second) {
-      auto [tit, inserted] = out.depth_in.try_emplace(t, depth_out);
-      if (inserted) {
-        work.push_back(t);
-      } else if (tit->second != depth_out && tit->second != kUnknownDepth) {
-        tit->second = kUnknownDepth;  // paths disagree
-        work.push_back(t);
+  const uint32_t entry = d.index_of(f.entry);
+  if (entry == n) {
+    out.depth_in[f.entry] = 0;
+  } else {
+    std::vector<int64_t> depth(n, 0);
+    std::vector<uint8_t> seen(n, 0);
+    std::vector<uint32_t> work{entry};
+    seen[entry] = 1;
+    for (size_t head = 0; head < work.size(); ++head) {
+      const uint32_t b = work[head];
+      if (!has[b]) continue;
+      int64_t depth_out = (depth[b] == kUnknownDepth ||
+                           facts[b].stack_delta == kUnknownDepth)
+                              ? kUnknownDepth
+                              : depth[b] + facts[b].stack_delta;
+      for (uint32_t t : d.succs(b)) {
+        if (!seen[t]) {
+          seen[t] = 1;
+          depth[t] = depth_out;
+          work.push_back(t);
+        } else if (depth[t] != depth_out && depth[t] != kUnknownDepth) {
+          depth[t] = kUnknownDepth;  // paths disagree
+          work.push_back(t);
+        }
       }
+    }
+    for (uint32_t b = 0; b < n; ++b) {
+      if (!seen[b]) continue;
+      out.depth_in.emplace_hint(out.depth_in.end(), d.blocks[b], depth[b]);
     }
   }
 
-  // Reaching definitions at block granularity -> data dependences.
-  using DefSets = std::array<std::set<uint64_t>, isa::kNumRegs>;
-  std::map<uint64_t, DefSets> rd_in;
-  changed = true;
-  while (changed) {
-    changed = false;
-    for (uint64_t b : f.blocks) {
-      auto fit = out.facts.find(b);
-      if (fit == out.facts.end()) continue;
-      DefSets in;
-      if (auto pit = preds.find(b); pit != preds.end()) {
-        for (uint64_t p : pit->second) {
-          auto pfit = out.facts.find(p);
-          if (pfit == out.facts.end()) continue;
-          const DefSets* pin = nullptr;
-          if (auto piit = rd_in.find(p); piit != rd_in.end()) {
-            pin = &piit->second;
-          }
-          for (int r = 0; r < isa::kNumRegs; ++r) {
-            if ((pfit->second.def_mask & bit(r)) != 0) {
-              in[r].insert(p);
-            } else if (pin != nullptr) {
-              in[r].insert((*pin)[r].begin(), (*pin)[r].end());
-            }
+  // Reaching definitions at block granularity -> data dependences. One
+  // register at a time: rd[b] is the bitset (over dense block indices) of
+  // the blocks whose definition of that register reaches b's entry.
+  const size_t words = (n + 63) / 64;
+  std::vector<uint64_t> deps(n * words, 0), rd(n * words), in(words);
+  uint16_t used = 0;
+  for (uint32_t b = 0; b < n; ++b) used |= has[b] ? facts[b].use_mask : 0;
+  for (int r = 0; r < isa::kNumRegs; ++r) {
+    if ((used & bit(r)) == 0) continue;
+    std::fill(rd.begin(), rd.end(), 0);
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (uint32_t b = 0; b < n; ++b) {
+        if (!has[b]) continue;
+        std::fill(in.begin(), in.end(), 0);
+        for (uint32_t p : d.preds(b)) {
+          if (!has[p]) continue;
+          if ((facts[p].def_mask & bit(r)) != 0) {
+            in[p / 64] |= 1ull << (p % 64);
+          } else {
+            for (size_t w = 0; w < words; ++w) in[w] |= rd[p * words + w];
           }
         }
+        if (!std::equal(in.begin(), in.end(), rd.begin() + b * words)) {
+          std::copy(in.begin(), in.end(), rd.begin() + b * words);
+          changed = true;
+        }
       }
-      auto [iit, inserted] = rd_in.try_emplace(b, in);
-      if (!inserted && iit->second != in) {
-        iit->second = std::move(in);
-        changed = true;
-      } else if (inserted) {
-        changed = true;
-      }
+    }
+    for (uint32_t b = 0; b < n; ++b) {
+      if (!has[b] || (facts[b].use_mask & bit(r)) == 0) continue;
+      for (size_t w = b * words; w < (b + 1) * words; ++w) deps[w] |= rd[w];
     }
   }
-  for (uint64_t b : f.blocks) {
-    auto fit = out.facts.find(b);
-    auto iit = rd_in.find(b);
-    if (fit == out.facts.end() || iit == rd_in.end()) continue;
-    std::set<uint64_t>& deps = out.data_deps[b];
-    for (int r = 0; r < isa::kNumRegs; ++r) {
-      if ((fit->second.use_mask & bit(r)) != 0) {
-        deps.insert(iit->second[r].begin(), iit->second[r].end());
+  for (uint32_t b = 0; b < n; ++b) {
+    if (!has[b]) continue;
+    std::set<uint64_t>& ds =
+        out.data_deps.emplace_hint(out.data_deps.end(), d.blocks[b],
+                                   std::set<uint64_t>())
+            ->second;
+    for (size_t w = 0; w < words; ++w) {
+      for (uint64_t x = deps[b * words + w]; x != 0; x &= x - 1) {
+        size_t k = w * 64 + static_cast<size_t>(std::countr_zero(x));
+        if (k != b) ds.insert(ds.end(), d.blocks[k]);
       }
     }
-    deps.erase(b);
   }
   return out;
 }

@@ -110,7 +110,6 @@ struct FuncDataflow {
   std::map<uint64_t, std::set<uint64_t>> data_deps;
 };
 
-FuncDataflow analyze_function(const melf::Binary& bin, const StaticCfg& cfg,
-                              const FuncCfg& f);
+FuncDataflow analyze_function(const StaticCfg& cfg, const FuncCfg& f);
 
 }  // namespace dynacut::analysis::slicer

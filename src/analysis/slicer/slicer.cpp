@@ -84,10 +84,15 @@ SliceModel analyze(const melf::Binary& bin) {
 
   // Per-function dataflow + merged dominator trees.
   for (const auto& [entry, f] : m.funcs) {
-    m.fdf[entry] = analyze_function(bin, m.cfg, f);
-    for (const auto& [b, d] : dominator_tree(f)) m.deps.idom[b] = d;
-    const auto& deps = m.fdf[entry].data_deps;
-    m.deps.data_deps.insert(deps.begin(), deps.end());
+    const FuncDataflow& fd =
+        m.fdf.emplace_hint(m.fdf.end(), entry, analyze_function(m.cfg, f))
+            ->second;
+    for (const auto& bd : dominator_tree(f)) {
+      m.deps.idom.insert(m.deps.idom.end(), bd);
+    }
+    for (const auto& dd : fd.data_deps) {
+      m.deps.data_deps.insert(m.deps.data_deps.end(), dd);
+    }
   }
 
   // Classify every indirect terminator.
@@ -98,13 +103,7 @@ SliceModel analyze(const melf::Binary& bin) {
     site.block = boff;
     site.is_call = blk->term == isa::Op::kCallR;
     // Offset of the terminator itself: last instruction of the block.
-    uint64_t cur = boff;
-    isa::Instr ins;
-    for (uint32_t i = 0; i + 1 < blk->instr_count && decode_at(bin, cur, ins);
-         ++i) {
-      cur += ins.length;
-    }
-    site.instr = cur;
+    site.instr = m.cfg.instr_starts[blk->last_instr];
 
     using K = AbsVal::Kind;
     switch (val.kind) {
@@ -312,25 +311,6 @@ PlanExpansion expand_plan(cutcheck::CutPlan& plan, const SliceOptions& opts) {
   return stats;
 }
 
-namespace {
-
-/// Module-relative offset of `block`'s terminator instruction (the last
-/// decodable instruction inside it), or nullopt on decode failure.
-std::optional<uint64_t> terminator_offset(const melf::Binary& bin,
-                                          const CfgBlock& block) {
-  uint64_t off = block.offset;
-  uint64_t end = block.offset + block.size;
-  while (off < end) {
-    isa::Instr in;
-    if (!decode_at(bin, off, in)) return std::nullopt;
-    if (off + in.length >= end) return off;
-    off += in.length;
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
 StubPlan plan_stubs(const cutcheck::CutPlan& plan) {
   StubPlan out;
   if (plan.mechanism == cutcheck::Mechanism::kTrap || plan.binary == nullptr) {
@@ -393,18 +373,16 @@ StubPlan plan_stubs(const cutcheck::CutPlan& plan) {
   // target is a stubbed entry.
   for (const auto& [boff, block] : m.cfg.blocks) {
     if (block.term != isa::Op::kCall && block.term != isa::Op::kJmp) continue;
-    auto toff = terminator_offset(*m.bin, block);
-    if (!toff) continue;
-    isa::Instr in;
-    if (!decode_at(*m.bin, *toff, in)) continue;
-    if (entries.count(in.target(*toff)) == 0) continue;
+    const uint64_t toff = m.cfg.instr_starts[block.last_instr];
+    const uint64_t target = m.cfg.instrs[block.last_instr].target(toff);
+    if (entries.count(target) == 0) continue;
     StubSite site;
-    site.instr = *toff;
+    site.instr = toff;
     site.block = boff;
-    site.entry = in.target(*toff);
+    site.entry = target;
     site.is_call = block.term == isa::Op::kCall;
     if (cut_starts.count(boff) != 0) {
-      if (*toff == boff) {
+      if (toff == boff) {
         // A cut block *starting* with the callsite: the redirect is the
         // denial; removal must not overwrite the branch opcode.
         site.skip_trap = true;
