@@ -218,8 +218,7 @@ const AddressSpace::Page* AddressSpace::find_page(uint64_t page_addr) const {
 Access AddressSpace::check_range(uint64_t addr, uint64_t n,
                                  uint32_t need_prot) const {
   uint64_t cur = addr;
-  uint64_t end = addr + n;
-  while (cur < end) {
+  while (cur - addr < n) {  // distance from addr: no wrap past 2^64
     const Vma* v = vma_at(cur);
     if (v == nullptr || (v->prot & need_prot) != need_prot) {
       return {false, cur};

@@ -147,6 +147,10 @@ class AddressSpace {
   uint64_t find_free(uint64_t size, uint64_t hint) const;
 
   // --- checked guest accesses (return faults, never throw) -------------
+  /// Checks [addr, addr+n) lies inside VMAs with `need_prot`; returns the
+  /// faulting address otherwise. A range running past 2^64 faults where
+  /// the mapped run starting at `addr` ends.
+  Access check_range(uint64_t addr, uint64_t n, uint32_t need_prot) const;
   Access read(uint64_t addr, void* out, uint64_t n, uint32_t need_prot) const;
   Access write(uint64_t addr, const void* src, uint64_t n, uint32_t need_prot);
 
@@ -271,10 +275,6 @@ class AddressSpace {
     return tlb_[(page / kPageSize) % kTlbEntries];
   }
   void tlb_fill(uint64_t page, uint8_t* data, bool writable) const;
-
-  /// Checks [addr, addr+n) lies inside VMAs with `need_prot`; returns the
-  /// faulting address otherwise.
-  Access check_range(uint64_t addr, uint64_t n, uint32_t need_prot) const;
 
   static uint64_t next_asid();
 

@@ -59,6 +59,50 @@ TEST(Os, WriteToStdoutIsHostObservable) {
   EXPECT_EQ(os.process(pid)->stdout_buf, "hello osim\n");
 }
 
+TEST(Os, HugeWriteLengthFailsWithoutStagingIt) {
+  // A guest length far past its mapped memory (and one wrapping past 2^64)
+  // must fail the write like any bad range, not size a host buffer by it.
+  ProgramBuilder b("hugewrite");
+  b.rodata_str("msg", "ok\n");
+  auto& f = b.func("main");
+  f.mov_ri(1, 1).mov_sym(2, "msg").mov_ri(3, 1ull << 62).sys(sys::kWrite);
+  f.mov_rr(12, 0);
+  f.mov_ri(1, 1).mov_sym(2, "msg").mov_ri(3, ~0ull - 15).sys(sys::kWrite);
+  f.mov_rr(13, 0);
+  f.mov_ri(1, 1).mov_sym(2, "msg").mov_ri(3, 3).sys(sys::kWrite);
+  f.mov_rr(1, 12).and_rr(1, 13).sys(sys::kExit);  // kErr & kErr == kErr
+  b.set_entry("main");
+  Os os;
+  int pid = os.spawn(make(b));
+  EXPECT_NO_THROW(os.run());
+  ASSERT_TRUE(os.all_exited());
+  EXPECT_EQ(os.process(pid)->exit_code, static_cast<int>(sys::kErr));
+  EXPECT_EQ(os.process(pid)->stdout_buf, "ok\n");
+}
+
+TEST(Os, HugeSendLengthFailsAndKeepsTheConnection) {
+  ProgramBuilder b("hugesend");
+  b.rodata_str("msg", "hey");
+  auto& f = b.func("main");
+  f.sys(sys::kSocket).mov_rr(12, 0);
+  f.mov_rr(1, 12).mov_ri(2, 7).sys(sys::kBind);
+  f.mov_rr(1, 12).sys(sys::kListen);
+  f.mov_rr(1, 12).sys(sys::kAccept).mov_rr(13, 0);
+  f.mov_rr(1, 13).mov_sym(2, "msg").mov_ri(3, 1ull << 62).sys(sys::kSend);
+  f.mov_rr(14, 0);
+  f.mov_rr(1, 13).mov_sym(2, "msg").mov_ri(3, 3).sys(sys::kSend);
+  f.mov_rr(1, 14).sys(sys::kExit);
+  b.set_entry("main");
+  Os os;
+  int pid = os.spawn(make(b));
+  os.run();  // blocks in accept
+  HostConn conn = os.connect(7);
+  EXPECT_NO_THROW(os.run());
+  EXPECT_EQ(conn.recv_all(), "hey");
+  ASSERT_TRUE(os.all_exited());
+  EXPECT_EQ(os.process(pid)->exit_code, static_cast<int>(sys::kErr));
+}
+
 TEST(Os, LibcCallThroughPlt) {
   ProgramBuilder b("uses_libc");
   b.rodata_str("msg", "four");
