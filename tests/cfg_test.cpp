@@ -471,5 +471,100 @@ TEST(Gadgets, RespectsMaxInstrs) {
   EXPECT_LE(narrow.gadget_starts, wide.gadget_starts);
 }
 
+// --- edge cases of the dense traversal state --------------------------------
+// Each expected shape was recorded from recover_cfg before its per-section
+// arrays replaced the node-based sets.
+
+melf::Section code_section(melf::SectionKind kind, uint64_t offset,
+                           std::vector<uint8_t> bytes) {
+  melf::Section sec;
+  sec.kind = kind;
+  sec.offset = offset;
+  sec.size = bytes.size();
+  sec.bytes = std::move(bytes);
+  return sec;
+}
+
+melf::Symbol fn_symbol(const std::string& name, uint64_t value,
+                       uint64_t size) {
+  melf::Symbol s;
+  s.name = name;
+  s.value = value;
+  s.size = size;
+  s.is_function = true;
+  return s;
+}
+
+/// "start+size/instrs:term>succ,succ" per block, then the instruction starts.
+std::string shape(const StaticCfg& cfg) {
+  std::string out;
+  for (const auto& [off, b] : cfg.blocks) {
+    out += std::to_string(off) + "+" + std::to_string(b.size) + "/" +
+           std::to_string(b.instr_count) + ":" + isa::mnemonic(b.term) + ">";
+    for (uint64_t t : b.succs) out += std::to_string(t) + ",";
+    out += " ";
+  }
+  out += "|";
+  for (uint64_t s : cfg.instr_starts) out += " " + std::to_string(s);
+  return out;
+}
+
+TEST(CfgEdgeCases, BranchTargetsOutsideEveryCodeSection) {
+  // je to the end of .text (no section there), a call far outside, and a
+  // straight line running into that end: the stray leader still splits it.
+  std::vector<uint8_t> code;
+  isa::Encoder enc(code);
+  enc.branch(isa::Op::kJe, 0);  // patched below to reach the end
+  enc.branch(isa::Op::kCall, 0x10000);
+  enc.mov_ri(1, 5);
+  enc.add_ri(1, 1);
+  enc.patch_rel32(0, static_cast<int32_t>(code.size() - 5));
+  Binary bin;
+  bin.sections.push_back(code_section(melf::SectionKind::kText, 0, code));
+  bin.symbols.push_back(fn_symbol("f", 0, code.size()));
+  EXPECT_EQ(shape(recover_cfg(bin)),
+            "0+5/1:je>26,5, 5+5/1:call>65546,10, 10+16/2:nop>26, "
+            "| 0 5 10 20");
+}
+
+TEST(CfgEdgeCases, FunctionSymbolsInDataOrPastTextEndDecodeNothing) {
+  std::vector<uint8_t> code, data;
+  isa::Encoder(code).mov_ri(1, 5);
+  isa::Encoder(code).ret();
+  isa::Encoder(data).ret();  // executable-looking bytes outside code
+  Binary bin;
+  bin.sections.push_back(code_section(melf::SectionKind::kText, 0, code));
+  bin.sections.push_back(code_section(melf::SectionKind::kData, 0x1000, data));
+  bin.symbols = {fn_symbol("f", 0, code.size()),
+                 fn_symbol("in_data", 0x1000, 1),
+                 fn_symbol("past_end", code.size() + 4, 4)};
+  EXPECT_EQ(shape(recover_cfg(bin)), "0+11/2:ret> | 0 10");
+}
+
+TEST(CfgEdgeCases, InstructionTruncatedAtTextEnd) {
+  // The second mov is cut short by the end of .text; a symbol naming it
+  // makes it a leader that never decodes.
+  std::vector<uint8_t> code, tail;
+  isa::Encoder(code).mov_ri(1, 5);
+  const uint64_t cut = code.size();
+  isa::Encoder(tail).mov_ri(2, 7);
+  code.insert(code.end(), tail.begin(), tail.begin() + 3);
+  Binary bin;
+  bin.sections.push_back(code_section(melf::SectionKind::kText, 0, code));
+  bin.symbols = {fn_symbol("f", 0, cut), fn_symbol("torn", cut, 3)};
+  EXPECT_EQ(shape(recover_cfg(bin)), "0+10/1:nop>10, | 0");
+}
+
+TEST(CfgEdgeCases, CallsIntoThePltReachItsStubs) {
+  ProgramBuilder b("pltcall");
+  b.func("main").mov_ri(1, 0).call_import("memset").call_import("strlen").ret();
+  Binary bin = b.link();
+  ASSERT_NE(bin.section(melf::SectionKind::kPlt), nullptr);
+  EXPECT_EQ(shape(recover_cfg(bin)),
+            "0+15/2:call>4096,15, 15+5/1:call>4111,20, 20+1/1:ret> "
+            "4096+15/3:jmpr> 4111+15/3:jmpr> "
+            "| 0 10 15 20 4096 4102 4109 4111 4117 4124");
+}
+
 }  // namespace
 }  // namespace dynacut::analysis
