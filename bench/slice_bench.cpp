@@ -13,8 +13,14 @@
 // more blocks than observed coverage alone while both plans verify clean
 // (no cutcheck errors).
 //
+// Part 3 (host-time gate): slicer::analyze of the largest guest over a
+// linear isa::try_decode sweep of the same guest's .text, both timed in
+// this run, must stay <= kMaxAnalyzeRatio.
+//
 // Writes BENCH_slice.json (or --out=PATH) with per-guest resolution stats,
-// rule-check wall times, and the per-app observed/slice block counts.
+// rule-check wall times, the per-app observed/slice block counts and the
+// analyze ratio.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -31,6 +37,7 @@
 #include "apps/miniweb.hpp"
 #include "apps/specgen.hpp"
 #include "bench_common.hpp"
+#include "isa/isa.hpp"
 
 namespace {
 
@@ -87,6 +94,55 @@ SweepRow sweep(std::shared_ptr<const melf::Binary> bin) {
   row.check_ms = ms_since(t0);
   row.cc007 = r.by_rule(cutcheck::kRuleIndirect).size();
   return row;
+}
+
+/// Host time of slicer::analyze on `bin` over an in-run reference: one
+/// linear isa::try_decode sweep of the same binary's .text. Each of the
+/// reps times one analysis and the best of five sweeps back to back; the
+/// median of the per-rep ratios is reported, so machine speed and load
+/// cancel out.
+struct AnalyzeRatio {
+  double analyze_ms = 0;  ///< median rep's analysis
+  double sweep_ms = 0;    ///< median rep's best sweep
+  double ratio = 0;
+};
+
+/// Gate on AnalyzeRatio::ratio. Release, 4 vCPU, five runs each: the
+/// decode-once analysis reads 162-190x, the node-based one it replaced
+/// 385-479x; 300 leaves the former a 1.5x margin and fails the latter.
+/// (The sanitizer Debug build reads ~80x: its decode sweep slows more.)
+constexpr double kMaxAnalyzeRatio = 300;
+
+AnalyzeRatio analyze_ratio(const melf::Binary& bin) {
+  constexpr int kReps = 7;
+  std::vector<AnalyzeRatio> reps;
+  size_t sink = 0;
+  for (int rep = 0; rep < kReps; ++rep) {
+    AnalyzeRatio r;
+    auto t0 = std::chrono::steady_clock::now();
+    sink += slicer::analyze(bin).cfg.block_count();
+    r.analyze_ms = ms_since(t0);
+    r.sweep_ms = 1e300;
+    for (int k = 0; k < 5; ++k) {
+      t0 = std::chrono::steady_clock::now();
+      for (const auto& sec : bin.sections) {
+        if (sec.kind != melf::SectionKind::kText) continue;
+        for (size_t off = 0; off < sec.bytes.size(); ++sink) {
+          auto ins = isa::try_decode(std::span(sec.bytes).subspan(off));
+          off += ins ? ins->length : 1;
+        }
+      }
+      r.sweep_ms = std::min(r.sweep_ms, ms_since(t0));
+    }
+    r.ratio = r.analyze_ms / r.sweep_ms;
+    reps.push_back(r);
+  }
+  if (sink == 0) std::printf("(empty guest)\n");
+  std::sort(reps.begin(), reps.end(),
+            [](const AnalyzeRatio& a, const AnalyzeRatio& b) {
+              return a.ratio < b.ratio;
+            });
+  return reps[kReps / 2];
 }
 
 struct GateRow {
@@ -146,8 +202,9 @@ int main(int argc, char** argv) {
   }
 
   bench::banner(
-      "Slicer sweep (indirect resolution + CC001-CC012 over every guest)\n"
-      "and the slice-closed vs coverage-only expansion gate");
+      "Slicer sweep (indirect resolution + CC001-CC012 over every guest),\n"
+      "the analyze-vs-decode host-time ratio and the slice-closed vs\n"
+      "coverage-only expansion gate");
 
   std::vector<std::shared_ptr<const melf::Binary>> guests = {
       apps::build_minikv(), apps::build_miniweb(), apps::build_minihttpd(),
@@ -165,10 +222,27 @@ int main(int argc, char** argv) {
                 row.direct, row.unresolved, row.analyze_ms, row.check_ms);
     rows.push_back(row);
   }
+
+  const SweepRow* largest = &rows.front();
+  const melf::Binary* largest_bin = guests.front().get();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i].blocks > largest->blocks) {
+      largest = &rows[i];
+      largest_bin = guests[i].get();
+    }
+  }
+  const AnalyzeRatio ar = analyze_ratio(*largest_bin);
+  std::printf("\n%s: analyze %.2f ms / try_decode sweep %.3f ms = %.1fx\n",
+              largest->name.c_str(), ar.analyze_ms, ar.sweep_ms, ar.ratio);
   for (const auto& row : rows) {
     check(row.unresolved == 0, row.name + ": all indirect sites resolve");
     check(row.cc007 == 0, row.name + ": zero CC007 findings uncut");
   }
+  std::string what = largest->name;
+  what += ": analyze <= ";
+  what += std::to_string(static_cast<int>(kMaxAnalyzeRatio));
+  what += "x a linear decode sweep of its .text";
+  check(ar.ratio <= kMaxAnalyzeRatio, what);
 
   std::printf("\n");
   std::vector<GateRow> gates;
@@ -218,7 +292,10 @@ int main(int argc, char** argv) {
          << (g.slice_clean ? "true" : "false") << "}"
          << (i + 1 < gates.size() ? "," : "") << "\n";
   }
-  json << "  ],\n  \"gate_failures\": " << failures << "\n}\n";
+  json << "  ],\n  \"analyze_ratio\": {\"guest\": \"" << largest->name
+       << "\", \"analyze_ms\": " << ar.analyze_ms
+       << ", \"sweep_ms\": " << ar.sweep_ms << ", \"ratio\": " << ar.ratio
+       << ", \"max_ratio\": " << kMaxAnalyzeRatio << "},\n  \"gate_failures\": " << failures << "\n}\n";
   std::ofstream out(out_path);
   out << json.str();
   std::printf("wrote %s\n", out_path.c_str());
