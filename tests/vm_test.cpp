@@ -957,6 +957,71 @@ TEST(DecodeCache, RunBlockObservesPokeAtBlockEntry) {
   EXPECT_EQ(n, 1u);
 }
 
+TEST(DecodeCache, EveryOffsetOfAPageDecodes) {
+  // A page of seeded random bytes, entered at every offset: decodes overlap
+  // (jumps into immediates), some are undecodable (cached as SIGILL), and
+  // every offset up to the straddle edge ends up holding a cached slot.
+  // The cached machine runs in lockstep with an uncached one and must match
+  // it after every call; each cacheable offset misses once and then hits.
+  std::mt19937 rng(4242);
+  std::vector<uint8_t> code(kPageSize);
+  for (auto& b : code) b = static_cast<uint8_t>(rng());
+  constexpr uint64_t kCacheable = kPageSize - isa::kMaxInstrLength + 1;
+  constexpr uint64_t kEdge = kPageSize - kCacheable;
+
+  Machine plain(code);
+  Machine cached(code);
+  DecodeCache cache;
+  const auto same_state = [&] {
+    return cached.cpu.ip == plain.cpu.ip && cached.cpu.regs == plain.cpu.regs &&
+           cached.cpu.pack_flags() == plain.cpu.pack_flags();
+  };
+  const auto step_both = [&](uint64_t off) {
+    plain.cpu.ip = cached.cpu.ip = 0x1000 + off;
+    const StepResult rp = step(plain.mem, plain.cpu);
+    const StepResult rc = step(cached.mem, cached.cpu, &cache);
+    EXPECT_EQ(rc.kind, rp.kind) << off;
+    EXPECT_EQ(rc.fault, rp.fault) << off;
+    EXPECT_EQ(rc.fault_addr, rp.fault_addr) << off;
+    EXPECT_EQ(rc.block_end, rp.block_end) << off;
+    EXPECT_TRUE(same_state()) << off;
+  };
+  for (uint64_t off = 0; off < kPageSize; ++off) step_both(off);
+  EXPECT_EQ(cache.misses(), kPageSize);
+  EXPECT_EQ(cache.hits(), 0u);
+  for (uint64_t off = kPageSize; off-- > 0;) step_both(off);
+  EXPECT_EQ(cache.misses(), kPageSize + kEdge);  // straddlers never cache
+  EXPECT_EQ(cache.hits(), kCacheable);
+
+  // run_block from every offset with a small budget: attempts inside the
+  // cacheable span are hits, every other attempt (straddlers, other pages,
+  // the stack) is a miss. The uncached machine predicts which is which.
+  uint64_t want_hits = cache.hits();
+  uint64_t want_misses = cache.misses();
+  for (uint64_t off = 0; off < kPageSize; ++off) {
+    plain.cpu.ip = cached.cpu.ip = 0x1000 + off;
+    StepResult rp{};
+    uint64_t np = 0;
+    while (np < 16) {
+      const uint64_t at = plain.cpu.ip;
+      (at >= 0x1000 && at < 0x1000 + kCacheable ? want_hits : want_misses)++;
+      rp = step(plain.mem, plain.cpu);
+      ++np;
+      if (rp.kind != StepKind::kOk || rp.block_end) break;
+    }
+    uint64_t nc = 0;
+    const StepResult rc =
+        run_block(cached.mem, cached.cpu, &cache, nullptr, 16, nc);
+    EXPECT_EQ(nc, np) << off;
+    EXPECT_EQ(rc.kind, rp.kind) << off;
+    EXPECT_EQ(rc.fault_addr, rp.fault_addr) << off;
+    EXPECT_TRUE(same_state()) << off;
+  }
+  EXPECT_EQ(cache.hits(), want_hits);
+  EXPECT_EQ(cache.misses(), want_misses);
+  EXPECT_EQ(cache.invalidations(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Superblock cache
 // ---------------------------------------------------------------------------
@@ -1280,6 +1345,76 @@ TEST(Superblock, AddressSpaceRebuildDropsTraces) {
   StepResult r = run_block(m.mem, m.cpu, &dc, &sbc, 256, n);
   EXPECT_EQ(r.kind, StepKind::kTrap);
   EXPECT_EQ(sbc.superblocks(), 0u);
+}
+
+TEST(Superblock, RetireKeepsCollidingEntriesReachable) {
+  // Hundreds of two-op traces (add; trap) spread over several pages fill the
+  // entry table with colliding ips. Poking every other page retires half of
+  // them lazily, interleaved with lookups of the rest: every surviving entry
+  // must stay reachable (dispatch without a rebuild) and every retired one
+  // must rebuild exactly once.
+  constexpr size_t kPages = 6;
+  constexpr size_t kPerPage = 64;
+  constexpr size_t kStride = 16;
+  std::vector<uint8_t> code;
+  Encoder e(code);
+  std::vector<uint64_t> entries;
+  for (size_t p = 0; p < kPages; ++p) {
+    for (size_t t = 0; t < kPerPage; ++t) {
+      while (code.size() < p * kPageSize + t * kStride) e.nop();
+      entries.push_back(0x1000 + code.size());
+      e.add_ri(1, 1);
+      e.trap();
+    }
+    while (code.size() < (p + 1) * kPageSize) e.nop();
+  }
+  Machine m(code);
+  DecodeCache dc;
+  SuperblockCache sbc;
+  const auto enter = [&](uint64_t at) {
+    m.cpu.ip = at;
+    uint64_t n = 0;
+    const StepResult r = run_block(m.mem, m.cpu, &dc, &sbc, 256, n);
+    EXPECT_EQ(r.kind, StepKind::kTrap) << std::hex << at;
+    EXPECT_EQ(r.fault_addr, at + 6) << std::hex << at;
+    EXPECT_EQ(n, 2u) << std::hex << at;
+  };
+  const auto on_poked_page = [](uint64_t at) {
+    return ((at - 0x1000) / kPageSize) % 2 == 1;
+  };
+  for (uint64_t at : entries) {
+    for (uint32_t i = 0; i < SuperblockCache::kHotThreshold; ++i) enter(at);
+  }
+  const uint64_t traces = entries.size();
+  ASSERT_EQ(sbc.builds(), traces);
+  ASSERT_EQ(sbc.superblocks(), traces);
+
+  for (size_t p = 1; p < kPages; p += 2) {
+    const uint8_t nop = 0x90;  // same byte: the write alone bumps the page
+    m.mem.poke(0x1000 + (p + 1) * kPageSize - 1, &nop, 1);
+  }
+  const uint64_t retired = traces / 2;
+  const uint64_t builds = sbc.builds();
+  const uint64_t retires = sbc.retires();
+  const uint64_t dispatches = sbc.entries();
+  for (uint64_t at : entries) enter(at);
+  EXPECT_EQ(sbc.builds(), builds);  // no survivor lost its entry
+  EXPECT_EQ(sbc.retires(), retires + retired);
+  EXPECT_EQ(sbc.entries(), dispatches + (traces - retired));
+  EXPECT_EQ(sbc.superblocks(), traces - retired);
+
+  for (uint64_t at : entries) {
+    if (!on_poked_page(at)) continue;
+    for (uint32_t i = 0; i < SuperblockCache::kHotThreshold; ++i) enter(at);
+  }
+  EXPECT_EQ(sbc.builds(), builds + retired);  // each retired trace once
+  EXPECT_EQ(sbc.superblocks(), traces);
+  const uint64_t rebuilt = sbc.builds();
+  const uint64_t before = sbc.entries();
+  for (uint64_t at : entries) enter(at);
+  EXPECT_EQ(sbc.builds(), rebuilt);
+  EXPECT_EQ(sbc.entries(), before + traces);
+  EXPECT_EQ(sbc.retires(), retires + retired);
 }
 
 // ---------------------------------------------------------------------------
