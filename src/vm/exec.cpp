@@ -1,7 +1,5 @@
 #include "vm/exec.hpp"
 
-#include <algorithm>
-
 #include "vm/semantics.hpp"
 #include "vm/superblock.hpp"
 
@@ -107,16 +105,16 @@ DecodeCache::PageEntry* DecodeCache::entry_for(const AddressSpace& mem,
     if (inserted) {
       e->live_gen = mem.page_generation_slot(page_addr);
       e->gen = *e->live_gen;
-      e->slots.resize(kPageSize);
     }
     last_page_ = page_addr;
     last_entry_ = e;
   }
   if (*e->live_gen != e->gen) {
-    // The page (or its mapping) changed since the slots were decoded: wipe
-    // and adopt the new generation. Slots refill lazily against the new
-    // bytes.
-    std::fill(e->slots.begin(), e->slots.end(), Slot{});
+    // The page (or its mapping) changed since the slots were decoded: drop
+    // them and adopt the new generation. Slots refill lazily against the
+    // new bytes.
+    for (const Slot& s : e->slots) e->index[s.off] = 0;
+    e->slots.clear();
     e->gen = *e->live_gen;
     ++invalidations_;
   }
@@ -124,13 +122,19 @@ DecodeCache::PageEntry* DecodeCache::entry_for(const AddressSpace& mem,
 }
 
 StepResult DecodeCache::fill_slot(const AddressSpace& mem, uint64_t ip,
-                                  Slot& s) {
+                                  PageEntry& e, uint64_t off) {
+  Slot s;
+  s.off = static_cast<uint16_t>(off);
   const StepResult f = vm::fetch(mem, ip, s.ins);
   if (f.kind == StepKind::kOk) {
     s.state = kValid;
   } else if (f.fault == FaultType::kIll) {
     s.state = kBad;
+  } else {
+    return f;
   }
+  e.slots.push_back(s);
+  e.index[off] = static_cast<uint16_t>(e.slots.size());
   return f;
 }
 
@@ -139,22 +143,23 @@ StepResult DecodeCache::fetch(AddressSpace& mem, uint64_t ip,
   sync(mem);
   const uint64_t page = page_floor(ip);
   const uint64_t off = ip - page;
-  if (off + isa::kMaxInstrLength > kPageSize) {
-    // Possible page-straddler: serve uncached (its decode would also depend
-    // on the next page's generation).
+  if (off >= kCacheable) {
+    // Possible page-straddler: serve uncached.
     ++misses_;
     return vm::fetch(mem, ip, out);
   }
-  Slot& s = entry_for(mem, page)->slots[off];
-  if (s.state == kUnknown) {
+  PageEntry& e = *entry_for(mem, page);
+  const Slot* s = e.find(off);
+  if (s == nullptr) {
     ++misses_;
-    const StepResult f = fill_slot(mem, ip, s);
+    const StepResult f = fill_slot(mem, ip, e, off);
     if (f.kind != StepKind::kOk) return f;
+    s = &e.slots.back();
   } else {
     ++hits_;
-    if (s.state == kBad) return {StepKind::kFault, FaultType::kIll, ip, false};
+    if (s->state == kBad) return {StepKind::kFault, FaultType::kIll, ip, false};
   }
-  out = s.ins;
+  out = s->ins;
   return {};
 }
 
@@ -167,46 +172,53 @@ StepResult DecodeCache::run(AddressSpace& mem, Cpu& cpu, uint64_t max_instr,
   bool stop = false;
   while (!stop && n < max_instr) {
     const uint64_t page = page_floor(cpu.ip);
-    if (cpu.ip - page + isa::kMaxInstrLength > kPageSize) {
+    uint64_t off = cpu.ip - page;
+    if (off >= kCacheable) {
       // Possible page-straddler, never cached: the generic single step.
       r = step(mem, cpu, this);
       ++n;
       if (r.kind != StepKind::kOk || r.block_end) break;
       continue;
     }
-    // Straight-line fast path: stay on this page's decoded array. One
+    // Straight-line fast path: stay on this page's decoded slots. One
     // generation dereference per instruction keeps self-modifying stores
-    // (e.g. the verifier handler healing its own page) precise.
-    PageEntry* e = entry_for(mem, page);
-    const uint64_t* live_gen = e->live_gen;
-    const uint64_t gen = e->gen;
-    Slot* slots = e->slots.data();
+    // (e.g. the verifier handler healing its own page) precise. Slots fill
+    // in decode order, so a fallthrough is usually the next dense slot; the
+    // offset index is consulted only when it is not.
+    PageEntry& e = *entry_for(mem, page);
+    const uint64_t* live_gen = e.live_gen;
+    const uint64_t gen = e.gen;
+    const Slot* s = e.find(off);
+    const Slot* end = e.slots.data() + e.slots.size();
     while (n < max_instr && *live_gen == gen) {
-      const uint64_t off = cpu.ip - page;
-      if (off + isa::kMaxInstrLength > kPageSize) break;  // page edge
-      Slot& s = slots[off];
-      if (s.state == kValid) {
-        ++hits;
-      } else {
-        if (s.state == kBad) {
-          ++hits;  // a known-bad slot is still a cache-served fetch
-          r = {StepKind::kFault, FaultType::kIll, cpu.ip, false};
-        } else {
-          ++misses_;
-          r = fill_slot(mem, cpu.ip, s);
-        }
+      if (s == nullptr) {
+        ++misses_;
+        r = fill_slot(mem, cpu.ip, e, off);
         if (r.kind != StepKind::kOk) {
           ++n;
           stop = true;
           break;
         }
+        s = &e.slots.back();
+        end = s + 1;
+      } else {
+        ++hits;  // a known-bad slot is still a cache-served fetch
+        if (s->state == kBad) {
+          r = {StepKind::kFault, FaultType::kIll, cpu.ip, false};
+          ++n;
+          stop = true;
+          break;
+        }
       }
-      r = interpret(mem, cpu, s.ins);
+      r = interpret(mem, cpu, s->ins);
       ++n;
       if (r.kind != StepKind::kOk || r.block_end) {
         stop = true;
         break;
       }
+      off = cpu.ip - page;
+      if (off >= kCacheable) break;  // page edge
+      s = s + 1 != end && s[1].off == off ? s + 1 : e.find(off);
     }
   }
   hits_ += hits;

@@ -11,6 +11,7 @@
 // instruction; there is no window where a stale decode can execute.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -91,18 +92,30 @@ class DecodeCache {
   friend StepResult run_block(AddressSpace&, Cpu&, DecodeCache*,
                               SuperblockCache*, uint64_t, uint64_t&);
 
+  /// Offsets whose instruction cannot straddle into the next page; only
+  /// these are cached (a straddler's decode would also depend on the next
+  /// page's generation).
+  static constexpr uint64_t kCacheable = kPageSize - isa::kMaxInstrLength + 1;
+
   struct Slot {
     isa::Instr ins;
-    uint8_t state = 0;  ///< kUnknown / kValid / kBad
+    uint16_t off = 0;   ///< page offset the slot decodes
+    uint8_t state = 0;  ///< kValid / kBad
   };
-  static constexpr uint8_t kUnknown = 0;  ///< offset not decoded yet
-  static constexpr uint8_t kValid = 1;    ///< ins holds the decode
-  static constexpr uint8_t kBad = 2;      ///< undecodable: fetch is SIGILL
+  static constexpr uint8_t kValid = 1;  ///< ins holds the decode
+  static constexpr uint8_t kBad = 2;    ///< undecodable: fetch is SIGILL
 
+  /// One cached page: a 16-bit index per cacheable offset (0: not decoded,
+  /// else 1 + position) into a dense array of only the decoded slots.
   struct PageEntry {
     const uint64_t* live_gen = nullptr;  ///< the page's generation counter
     uint64_t gen = 0;                    ///< generation the slots decode
-    std::vector<Slot> slots;             ///< one per byte offset in the page
+    std::vector<Slot> slots;             ///< in decode order
+    std::array<uint16_t, kCacheable> index{};
+
+    const Slot* find(uint64_t off) const {
+      return index[off] != 0 ? &slots[index[off] - 1] : nullptr;
+    }
   };
 
   /// Resets the cache if `mem` is not the address space it was filled from.
@@ -111,10 +124,12 @@ class DecodeCache {
   /// Returns the (validated, possibly freshly wiped) entry for a page.
   PageEntry* entry_for(const AddressSpace& mem, uint64_t page_addr);
 
-  /// Fetches the instruction at `ip` into `s` and returns the fetch
-  /// result. Bytes that are not readable as code (kSegv) leave the slot
-  /// unknown: only decodes and invalid encodings are cached.
-  StepResult fill_slot(const AddressSpace& mem, uint64_t ip, Slot& s);
+  /// Decodes the instruction at `ip` (offset `off` of `e`'s page) into a
+  /// new slot at the back of `e.slots` and returns the fetch result. Bytes
+  /// that are not readable as code (kSegv) add no slot: only decodes and
+  /// invalid encodings are cached.
+  StepResult fill_slot(const AddressSpace& mem, uint64_t ip, PageEntry& e,
+                       uint64_t off);
 
   /// Cache-served fetch+decode of the instruction at `ip`.
   StepResult fetch(AddressSpace& mem, uint64_t ip, isa::Instr& out);

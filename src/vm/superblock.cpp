@@ -1,6 +1,7 @@
 #include "vm/superblock.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <set>
 
 #include "vm/semantics.hpp"
@@ -14,7 +15,8 @@ using isa::Op;
 // ---------------------------------------------------------------------------
 
 void SuperblockCache::clear() {
-  entry_points_.clear();
+  std::fill(entry_points_.begin(), entry_points_.end(), Entry{});
+  entry_count_ = 0;
   blocks_.clear();
   heat_.clear();
 }
@@ -32,13 +34,50 @@ void SuperblockCache::push_event(SbEvent::Kind kind, uint64_t entry,
   if (events_.size() < 4096) events_.push_back({kind, entry, detail});
 }
 
-void SuperblockCache::retire(Superblock* sb, bool deopt, uint64_t resume_ip) {
-  for (const auto& o : sb->ops_) {
-    auto it = entry_points_.find(o.ip);
-    if (it != entry_points_.end() && it->second.sb == sb) {
-      entry_points_.erase(it);
+size_t SuperblockCache::probe(uint64_t ip) const {
+  const size_t mask = entry_points_.size() - 1;
+  size_t i = home(ip);
+  while (entry_points_[i].ref.sb != nullptr && entry_points_[i].ip != ip) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+void SuperblockCache::claim(uint64_t ip, Ref ref) {
+  if (2 * (entry_count_ + 1) > entry_points_.size()) {
+    std::vector<Entry> old(std::max<size_t>(64, 2 * entry_points_.size()));
+    old.swap(entry_points_);
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(entry_points_.size()));
+    for (const Entry& en : old) {
+      if (en.ref.sb != nullptr) entry_points_[probe(en.ip)] = en;
     }
   }
+  Entry& en = entry_points_[probe(ip)];
+  if (en.ref.sb != nullptr) return;  // first trace wins
+  en = {ip, ref};
+  ++entry_count_;
+}
+
+void SuperblockCache::unclaim(uint64_t ip, const Superblock* sb) {
+  size_t h = probe(ip);
+  if (entry_points_[h].ref.sb != sb) return;
+  // Backward-shift deletion: walk the rest of the probe run and move back
+  // every entry whose home does not lie between the hole and its slot, so
+  // each remaining entry stays reachable from its home without a gap.
+  const size_t mask = entry_points_.size() - 1;
+  for (size_t j = (h + 1) & mask; entry_points_[j].ref.sb != nullptr;
+       j = (j + 1) & mask) {
+    if (((j - home(entry_points_[j].ip)) & mask) >= ((j - h) & mask)) {
+      entry_points_[h] = entry_points_[j];
+      h = j;
+    }
+  }
+  entry_points_[h] = Entry{};
+  --entry_count_;
+}
+
+void SuperblockCache::retire(Superblock* sb, bool deopt, uint64_t resume_ip) {
+  for (const auto& o : sb->ops_) unclaim(o.ip, sb);
   ++retires_;
   push_event(SbEvent::kRetire, sb->entry_, sb->instr_count());
   if (deopt) {
@@ -55,9 +94,8 @@ void SuperblockCache::retire(Superblock* sb, bool deopt, uint64_t resume_ip) {
 SuperblockCache::Ref SuperblockCache::lookup(const AddressSpace& mem,
                                              uint64_t ip) {
   sync(mem);
-  auto it = entry_points_.find(ip);
-  if (it != entry_points_.end()) {
-    Ref ref = it->second;
+  const Ref ref = entry_count_ != 0 ? entry_points_[probe(ip)].ref : Ref{};
+  if (ref.sb != nullptr) {
     if (!ref.sb->pages_valid()) {
       // A spanned page changed (int3 patch, wipe, unmap, heal) since the
       // trace last ran: retire before anything executes from it. The
@@ -159,10 +197,11 @@ Superblock* SuperblockCache::build(const AddressSpace& mem, uint64_t entry) {
                             mem.page_generation(page));
   }
 
-  for (const auto& [op_ip, idx] : index_of) {
-    // First trace wins: an ip already claimed by a live superblock keeps
-    // its mapping (the overlap executes identically either way).
-    entry_points_.try_emplace(op_ip, Ref{sb, idx});
+  for (size_t i = 0; i < sb->ops_.size(); ++i) {
+    // First trace wins: an ip already claimed by a live superblock (or by an
+    // earlier op of this one) keeps its mapping; the overlap executes
+    // identically either way.
+    claim(sb->ops_[i].ip, {sb, static_cast<int32_t>(i)});
   }
   blocks_.emplace(sb, std::move(owned));
   ++builds_;

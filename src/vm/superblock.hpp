@@ -181,7 +181,27 @@ class SuperblockCache {
 
   void push_event(SbEvent::Kind kind, uint64_t entry, uint64_t detail);
 
-  std::unordered_map<uint64_t, Ref> entry_points_;  ///< every traced ip
+  /// The entry table: every traced ip, open-addressed with linear probing
+  /// in a power-of-two array kept at most half full (DESIGN.md §12).
+  struct Entry {
+    uint64_t ip = 0;
+    Ref ref;  ///< ref.sb == nullptr: free slot
+  };
+  size_t home(uint64_t ip) const {
+    return static_cast<size_t>((ip * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+  /// Index of the slot holding `ip`, or of the free slot ending its probe
+  /// run.
+  size_t probe(uint64_t ip) const;
+  /// Maps `ip` unless a live trace already claims it (first trace wins).
+  void claim(uint64_t ip, Ref ref);
+  /// Removes `ip` if `sb` claims it, shifting later entries of its probe
+  /// run back so no probe run is ever broken by a hole.
+  void unclaim(uint64_t ip, const Superblock* sb);
+
+  std::vector<Entry> entry_points_;
+  size_t entry_count_ = 0;
+  unsigned shift_ = 64;  ///< 64 - log2(entry_points_.size())
   std::unordered_map<Superblock*, std::unique_ptr<Superblock>> blocks_;
   std::unordered_map<uint64_t, uint32_t> heat_;
   std::vector<SbEvent> events_;
