@@ -44,8 +44,7 @@ StaticCfg recover_cfg(const melf::Binary& bin) {
   // bytes cover it; leaders outside all of them are kept aside.
   std::vector<CodeSec> code;
   for (const auto& sec : bin.sections) {
-    if (sec.kind == melf::SectionKind::kText ||
-        sec.kind == melf::SectionKind::kPlt) {
+    if (melf::is_code(sec.kind)) {
       code.push_back({&sec, std::vector<uint32_t>(sec.bytes.size(), 0),
                       std::vector<uint8_t>(sec.bytes.size(), 0)});
     }

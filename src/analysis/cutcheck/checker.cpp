@@ -17,18 +17,6 @@
 namespace dynacut::analysis::cutcheck {
 namespace {
 
-bool is_exec_kind(melf::SectionKind k) {
-  return k == melf::SectionKind::kText || k == melf::SectionKind::kPlt;
-}
-
-bool in_exec_section(const melf::Binary& bin, uint64_t off) {
-  for (const auto& sec : bin.sections) {
-    if (!is_exec_kind(sec.kind)) continue;
-    if (off >= sec.offset && off < sec.offset + sec.bytes.size()) return true;
-  }
-  return false;
-}
-
 /// Applies the per-rule option knobs and the function/range enrichment one
 /// diagnostic at a time. Returns false when the rule is suppressed.
 bool emit_diag(CheckReport& report, const CheckOptions& opts,
@@ -90,7 +78,7 @@ struct Ctx {
 
 void check_boundary(Ctx& c) {
   for (const auto& [off, size] : c.ranges) {
-    if (!in_exec_section(c.bin, off)) {
+    if (!c.bin.in_code(off)) {
       c.add(kRuleBoundary, Severity::kError, off,
             "block start lies outside every executable section",
             "drop the block or fix its module-relative offset");
@@ -117,7 +105,7 @@ void check_boundary(Ctx& c) {
 
     // Wipe/unmap consume the whole range: its end must not tear code.
     uint64_t end = off + size;
-    if (!in_exec_section(c.bin, end - 1)) {
+    if (!c.bin.in_code(end - 1)) {
       c.add(kRuleBoundary, Severity::kWarning, off,
             "block [" + hex_addr(off) + ", " + hex_addr(end) +
                 ") extends past the executable section holding its start",
@@ -411,7 +399,7 @@ void check_gadget_delta(Ctx& c, const CheckOptions& opts) {
   vm::AddressSpace mem;
   std::vector<std::pair<uint64_t, uint64_t>> extents;  // code byte ranges
   for (const auto& sec : c.bin.sections) {
-    if (!is_exec_kind(sec.kind) || sec.bytes.empty()) continue;
+    if (!melf::is_code(sec.kind) || sec.bytes.empty()) continue;
     uint64_t start = kAppBase + sec.offset;
     mem.map(start, page_ceil(sec.bytes.size()), kProtRead | kProtExec,
             c.plan.module + ":" + melf::section_name(sec.kind));
@@ -565,9 +553,9 @@ void check_data_reach(Ctx& c) {
     if (rel.kind != melf::RelocKind::kAbs64) continue;
     // Code immediates are visible to the CFG/slicer rules; this rule owns
     // the pointers living in data sections (vtable/jump-table style).
-    if (in_exec_section(c.bin, rel.offset)) continue;
+    if (c.bin.in_code(rel.offset)) continue;
     uint64_t t = static_cast<uint64_t>(rel.addend);
-    if (!in_exec_section(c.bin, t)) continue;
+    if (!c.bin.in_code(t)) continue;
     if (c.plan.removal == Removal::kUnmapPages &&
         c.dropped_set.count(page_floor(t)) != 0) {
       c.add(kRuleDataReach, Severity::kError, rel.offset,

@@ -7,17 +7,6 @@
 namespace dynacut::analysis::slicer {
 namespace {
 
-bool in_exec(const melf::Binary& bin, uint64_t off) {
-  for (const auto& sec : bin.sections) {
-    if (sec.kind != melf::SectionKind::kText &&
-        sec.kind != melf::SectionKind::kPlt) {
-      continue;
-    }
-    if (off >= sec.offset && off < sec.offset + sec.bytes.size()) return true;
-  }
-  return false;
-}
-
 /// Targets of the pointer table at `base`: the contiguous run of kAbs64
 /// relocated 8-byte slots starting there (the builder lays data_ptr slots
 /// out back to back). Empty when the base slot carries no relocation.
@@ -29,7 +18,7 @@ std::vector<uint64_t> table_targets(
     auto it = abs_relocs.find(slot);
     if (it == abs_relocs.end()) break;
     uint64_t t = static_cast<uint64_t>(it->second);
-    if (in_exec(bin, t)) out.push_back(t);
+    if (bin.in_code(t)) out.push_back(t);
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
@@ -84,14 +73,9 @@ SliceModel analyze(const melf::Binary& bin) {
 
   // Per-function dataflow + merged dominator trees.
   for (const auto& [entry, f] : m.funcs) {
-    const FuncDataflow& fd =
-        m.fdf.emplace_hint(m.fdf.end(), entry, analyze_function(m.cfg, f))
-            ->second;
+    m.fdf.emplace_hint(m.fdf.end(), entry, analyze_function(m.cfg, f));
     for (const auto& bd : dominator_tree(f)) {
       m.deps.idom.insert(m.deps.idom.end(), bd);
-    }
-    for (const auto& dd : fd.data_deps) {
-      m.deps.data_deps.insert(m.deps.data_deps.end(), dd);
     }
   }
 

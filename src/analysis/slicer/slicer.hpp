@@ -59,8 +59,6 @@ struct DepGraph {
   /// Immediate dominators, merged across every function subgraph (block
   /// offsets are module-unique, so one map suffices).
   std::map<uint64_t, uint64_t> idom;
-  /// Consumer block -> defining blocks it may read (reaching definitions).
-  std::map<uint64_t, std::set<uint64_t>> data_deps;
   /// Function entry -> the blocks that call or tail-jump into it, direct
   /// transfers and resolved indirect ones alike.
   std::map<uint64_t, std::vector<uint64_t>> callers;

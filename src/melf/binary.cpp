@@ -62,6 +62,16 @@ Section* Binary::section(SectionKind kind) {
   return const_cast<Section*>(std::as_const(*this).section(kind));
 }
 
+bool Binary::in_code(uint64_t offset) const {
+  for (const auto& s : sections) {
+    if (is_code(s.kind) && offset >= s.offset &&
+        offset < s.offset + s.bytes.size()) {
+      return true;
+    }
+  }
+  return false;
+}
+
 const Symbol* Binary::find_symbol(const std::string& sym_name) const {
   for (const auto& s : symbols) {
     if (s.name == sym_name) return &s;

@@ -31,6 +31,11 @@ enum class SectionKind : uint8_t {
 std::string section_name(SectionKind kind);
 uint32_t section_prot(SectionKind kind);
 
+/// True for the sections that hold code: .text and .plt.
+constexpr bool is_code(SectionKind kind) {
+  return kind == SectionKind::kText || kind == SectionKind::kPlt;
+}
+
 struct Section {
   SectionKind kind = SectionKind::kText;
   uint64_t offset = 0;  ///< module-relative virtual offset (page aligned)
@@ -83,6 +88,10 @@ class Binary {
   Section* section(SectionKind kind);
 
   const Symbol* find_symbol(const std::string& name) const;
+
+  /// True when the module-relative `offset` lies in the bytes of a code
+  /// section (is_code).
+  bool in_code(uint64_t offset) const;
 
   /// Symbol whose [value, value+size) contains the module-relative offset;
   /// functions only. Nullptr if none.

@@ -70,9 +70,7 @@ std::string dump_headers(const Binary& bin) {
 std::string dump_disasm(const Binary& bin) {
   std::string out;
   for (const auto& sec : bin.sections) {
-    if (sec.kind != SectionKind::kText && sec.kind != SectionKind::kPlt) {
-      continue;
-    }
+    if (!is_code(sec.kind)) continue;
     out += "\nDisassembly of " + section_name(sec.kind) + ":\n";
     auto lines = isa::disassemble(sec.bytes, sec.offset);
     for (const auto& line : lines) {

@@ -877,7 +877,13 @@ uint64_t model_digest(const slicer::SliceModel& m) {
     h.mix(b);
     h.mix(d);
   }
-  h.seq_map(m.deps.data_deps);
+  // The module-wide reaching-definition map the model once kept as a
+  // merged copy of the per-function sets.
+  std::map<uint64_t, std::set<uint64_t>> data_deps;
+  for (const auto& [entry, fd] : m.fdf) {
+    data_deps.insert(fd.data_deps.begin(), fd.data_deps.end());
+  }
+  h.seq_map(data_deps);
   h.seq_map(m.deps.callers);
   h.seq_map(m.deps.direct_callers);
   h.seq(m.deps.address_taken);
