@@ -1,6 +1,6 @@
 // Static dataflow over the recovered VX64 CFG (DESIGN.md §11).
 //
-// Two granularities, both conservative:
+// Two analyses, both conservative:
 //
 //  * Module-level constant/offset propagation (analyze_module): a forward
 //    block-level fixpoint tracking, per register, whether its value is a
@@ -11,11 +11,10 @@
 //    resolve PLT-stub and jump-table indirect transfers, and to attribute
 //    loads/stores to the data symbols they touch.
 //
-//  * Per-function facts (analyze_function): register def/use and liveness,
-//    net stack delta and entry stack depth per block (SP-relative tracking
-//    of kPush/kPop/kAddRI/kSubRI on r15), and block-level data dependences
-//    from reaching definitions — the raw material of the dependence graph
-//    and of cutcheck rules CC010/CC011.
+//  * Per-function stack depth (stack_depth_in): SP-relative tracking of
+//    kPush/kPop/kAddRI/kSubRI on r15 from the function entry, computed on
+//    demand for the one function cutcheck's redirect rules (CC010, CC013)
+//    ask about.
 //
 // Function entries always join an implicit all-unknown state (callers may
 // be invisible to static recovery), so nothing proved here depends on
@@ -25,7 +24,6 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "analysis/cfg.hpp"
@@ -73,9 +71,6 @@ struct MemRef {
 
 /// Whole-module forward constant/offset propagation at block granularity.
 struct ModuleDataflow {
-  /// Register state at each block entry (missing = never reached by the
-  /// propagation, treated as all-unknown).
-  std::map<uint64_t, RegState> block_in;
   /// Value of the transfer register at each kCallR/kJmpR terminator,
   /// keyed by the block start.
   std::map<uint64_t, AbsVal> indirect_reg;
@@ -85,31 +80,19 @@ struct ModuleDataflow {
 
 ModuleDataflow analyze_module(const melf::Binary& bin, const StaticCfg& cfg);
 
-/// Sentinel for an unknown stack depth/delta.
+/// Sentinel for an unknown stack depth.
 inline constexpr int64_t kUnknownDepth = INT64_MIN;
 
-/// Register def/use and stack behaviour of one block.
-struct BlockFacts {
-  uint16_t use_mask = 0;  ///< registers read before any write in the block
-  uint16_t def_mask = 0;  ///< registers written by the block
-  /// Net SP change across the block (kUnknownDepth when SP is assigned
-  /// non-incrementally). Calls are balanced by their matching ret.
-  int64_t stack_delta = 0;
-};
+/// Stack depth after `ins` given the depth before it: kPush/kPop and
+/// kAddRI/kSubRI on SP move it, any other write to SP (pop r15 included)
+/// makes it kUnknownDepth, which stays unknown. Calls are balanced by their
+/// matching ret.
+int64_t stack_after(int64_t depth, const isa::Instr& ins);
 
-/// Per-function dataflow summary.
-struct FuncDataflow {
-  std::map<uint64_t, BlockFacts> facts;
-  std::map<uint64_t, uint16_t> live_in;
-  std::map<uint64_t, uint16_t> live_out;
-  /// Stack depth at block entry relative to the function entry (0 there);
-  /// kUnknownDepth when paths disagree or SP escapes tracking.
-  std::map<uint64_t, int64_t> depth_in;
-  /// Block-level data dependences from reaching definitions: consumer
-  /// block -> the blocks whose register definitions it may read.
-  std::map<uint64_t, std::set<uint64_t>> data_deps;
-};
-
-FuncDataflow analyze_function(const StaticCfg& cfg, const FuncCfg& f);
+/// Stack depth at entry of each block of `f` reachable from its entry,
+/// relative to the function entry (0 there); kUnknownDepth where paths
+/// disagree or SP escapes tracking.
+std::map<uint64_t, int64_t> stack_depth_in(const StaticCfg& cfg,
+                                           const FuncCfg& f);
 
 }  // namespace dynacut::analysis::slicer

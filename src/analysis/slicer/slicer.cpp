@@ -71,10 +71,9 @@ SliceModel analyze(const melf::Binary& bin) {
     }
   }
 
-  // Per-function dataflow + merged dominator trees.
-  for (const auto& [entry, f] : m.funcs) {
-    m.fdf.emplace_hint(m.fdf.end(), entry, analyze_function(m.cfg, f));
-    for (const auto& bd : dominator_tree(f)) {
+  // Merged per-function dominator trees.
+  for (const auto& fn : m.funcs) {
+    for (const auto& bd : dominator_tree(fn.second)) {
       m.deps.idom.insert(m.deps.idom.end(), bd);
     }
   }

@@ -12,9 +12,8 @@
 //    expansion (an invisible edge could reach anything).
 //
 //  * a dependence graph — control dependences from per-function dominator
-//    trees, data dependences from reaching definitions, a callee-indexed
-//    caller map merging the direct call graph with resolved indirect
-//    transfers, and the set of address-taken functions.
+//    trees, a callee-indexed caller map merging the direct call graph with
+//    resolved indirect transfers, and the set of address-taken functions.
 //
 //  * feature_slice(seeds) — the closure turning observed coverage into the
 //    full removable slice: blocks dominated by slice members can only
@@ -80,8 +79,7 @@ struct SliceModel {
   StaticCfg cfg;
   ModuleDataflow mdf;
   std::map<uint64_t, FuncCfg> funcs;
-  std::map<uint64_t, FuncDataflow> fdf;  ///< keyed like `funcs`
-  std::vector<IndirectSite> indirect;    ///< sorted by block offset
+  std::vector<IndirectSite> indirect;  ///< sorted by block offset
   DepGraph deps;
   /// True when every indirect site resolved (kind != kUnresolved); slice
   /// expansion refuses to grow otherwise.
