@@ -85,8 +85,7 @@ std::vector<analysis::cutcheck::CutPlan> DynaCut::module_plans(
 
 analysis::cutcheck::CheckReport DynaCut::run_check(
     const CutRequest& req) const {
-  return analysis::cutcheck::check_plans(module_plans(req),
-                                         req.check_options);
+  return analysis::cutcheck::check_plans(module_plans(req));
 }
 
 CutRequest DynaCut::expanded_request(const CutRequest& req,

@@ -99,9 +99,6 @@ struct CutRequest {
   /// Per-request override of the instance-wide CheckMode; unset uses
   /// DynaCut::check_mode().
   std::optional<CheckMode> check;
-  /// Per-rule cutcheck knobs (suppression, severity overrides); applied to
-  /// preflight() and the enforce gate alike.
-  analysis::cutcheck::CheckOptions check_options;
   /// Grow the feature's blocks to their static slice before planning
   /// (analysis::slicer::feature_slice): blocks dominated by the cut and
   /// functions only the cut calls join the plan, so the cut removes the
