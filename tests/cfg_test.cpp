@@ -2,11 +2,16 @@
 // the gadget scanner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "analysis/cfg.hpp"
 #include "analysis/gadget.hpp"
 #include "analysis/plt.hpp"
 #include "apps/libc.hpp"
 #include "isa/encode.hpp"
+#include "isa/isa.hpp"
 #include "apps/minikv.hpp"
 #include "apps/miniweb.hpp"
 #include "common/rng.hpp"
@@ -469,6 +474,105 @@ TEST(Gadgets, RespectsMaxInstrs) {
   GadgetStats narrow = scan_gadgets(p->mem, 1);
   GadgetStats wide = scan_gadgets(p->mem, 8);
   EXPECT_LE(narrow.gadget_starts, wide.gadget_starts);
+}
+
+// --- scan_gadgets against a per-address reference walk ---------------------
+
+/// Reference gadget test: decode forward from `addr` through checked
+/// executable reads, at most `max_instrs` instructions, until a RET.
+bool reference_gadget_at(const vm::AddressSpace& mem, uint64_t addr,
+                         int max_instrs) {
+  uint64_t cur = addr;
+  for (int i = 0; i < max_instrs; ++i) {
+    uint8_t buf[16];
+    if (!mem.read(cur, buf, 1, kProtExec).ok) return false;
+    uint8_t len = isa::instr_length(buf[0]);
+    if (len == 0) return false;
+    if (len > 1 && !mem.read(cur + 1, buf + 1, len - 1, kProtExec).ok) {
+      return false;
+    }
+    auto ins = isa::try_decode({buf, len});
+    if (!ins) return false;
+    if (ins->op == isa::Op::kRet) return true;
+    if (isa::is_terminator(ins->op)) return false;
+    cur += len;
+  }
+  return false;
+}
+
+GadgetStats reference_scan(const vm::AddressSpace& mem, uint64_t lo,
+                           uint64_t hi, int max_instrs) {
+  GadgetStats stats;
+  for (const auto& [start, vma] : mem.vmas()) {
+    if ((vma.prot & kProtExec) == 0) continue;
+    uint64_t from = std::max(vma.start, lo);
+    uint64_t to = std::min(vma.end, hi);
+    if (from >= to) continue;
+    stats.executable_bytes += to - from;
+    for (uint64_t addr = from; addr < to; ++addr) {
+      if (reference_gadget_at(mem, addr, max_instrs)) ++stats.gadget_starts;
+    }
+  }
+  return stats;
+}
+
+/// A few one- or two-page VMAs, adjacent or one page apart, executable or
+/// not. Each page is left unpopulated (reads as zeros) or filled with
+/// random bytes rich in RET and TRAP so that gadgets are common and
+/// sequences often run into a neighbouring page or off a VMA's end.
+vm::AddressSpace random_code_space(Rng& rng) {
+  vm::AddressSpace mem;
+  uint64_t addr = kAppBase;
+  const size_t vmas = rng.range(1, 5);
+  for (size_t i = 0; i < vmas; ++i) {
+    if (rng.chance(1, 3)) addr += kPageSize;
+    const uint64_t pages = rng.range(1, 2);
+    const uint32_t prot = rng.chance(3, 4) ? kProtRead | kProtExec
+                                           : kProtRead | kProtWrite;
+    mem.map(addr, pages * kPageSize, prot, "v" + std::to_string(i));
+    for (uint64_t p = 0; p < pages; ++p, addr += kPageSize) {
+      if (rng.chance(1, 4)) continue;
+      std::vector<uint8_t> bytes(kPageSize);
+      for (uint8_t& b : bytes) {
+        if (rng.chance(1, 4)) {
+          b = static_cast<uint8_t>(isa::Op::kRet);
+        } else if (rng.chance(1, 12)) {
+          b = static_cast<uint8_t>(isa::Op::kTrap);
+        } else {
+          b = static_cast<uint8_t>(rng.below(256));
+        }
+      }
+      mem.poke_bytes(addr, bytes);
+    }
+  }
+  return mem;
+}
+
+TEST(Gadgets, ScanAgreesWithReferenceWalkOnRandomSpaces) {
+  for (uint64_t seed = 1; seed <= 64; ++seed) {
+    Rng rng(seed);
+    const vm::AddressSpace mem = random_code_space(rng);
+    const int max_instrs = static_cast<int>(1 + seed % 8);
+    const uint64_t end = mem.vmas().rbegin()->second.end;
+    std::vector<std::pair<uint64_t, uint64_t>> windows = {
+        {0, UINT64_MAX}, {end, kAppBase}};
+    for (int w = 0; w < 3; ++w) {
+      uint64_t a = rng.range(kAppBase - kPageSize, end + kPageSize);
+      uint64_t b = rng.range(kAppBase - kPageSize, end + kPageSize);
+      windows.emplace_back(std::min(a, b), std::max(a, b));
+    }
+    for (const auto& [lo, hi] : windows) {
+      GadgetStats want = reference_scan(mem, lo, hi, max_instrs);
+      GadgetStats got = scan_gadgets(mem, lo, hi, max_instrs);
+      EXPECT_EQ(got.gadget_starts, want.gadget_starts)
+          << "seed " << seed << " window [" << lo << ", " << hi << ")";
+      EXPECT_EQ(got.executable_bytes, want.executable_bytes)
+          << "seed " << seed << " window [" << lo << ", " << hi << ")";
+    }
+    EXPECT_EQ(scan_gadgets(mem, max_instrs).gadget_starts,
+              reference_scan(mem, 0, UINT64_MAX, max_instrs).gadget_starts)
+        << "seed " << seed;
+  }
 }
 
 // --- edge cases of the dense traversal state --------------------------------
