@@ -13,13 +13,14 @@
 // more blocks than observed coverage alone while both plans verify clean
 // (no cutcheck errors).
 //
-// Part 3 (host-time gate): slicer::analyze of the largest guest over a
-// linear isa::try_decode sweep of the same guest's .text, both timed in
-// this run, must stay <= kMaxAnalyzeRatio.
+// Part 3 (host-time gates): slicer::analyze of the largest guest, and
+// check_plan of its uncut plan with the model attached, each over a linear
+// isa::try_decode sweep of the same guest's .text, all timed in this run,
+// must stay <= kMaxAnalyzeRatio and <= kMaxCheckRatio.
 //
 // Writes BENCH_slice.json (or --out=PATH) with per-guest resolution stats,
 // rule-check wall times, the per-app observed/slice block counts and the
-// analyze ratio.
+// analyze and check ratios.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -68,6 +69,14 @@ struct SweepRow {
   size_t cc007 = 0;
 };
 
+cutcheck::CutPlan uncut_plan(std::shared_ptr<const melf::Binary> bin) {
+  cutcheck::CutPlan plan;
+  plan.feature = "uncut";
+  plan.module = bin->name;
+  plan.binary = std::move(bin);
+  return plan;
+}
+
 SweepRow sweep(std::shared_ptr<const melf::Binary> bin) {
   SweepRow row;
   row.name = bin->name;
@@ -84,11 +93,10 @@ SweepRow sweep(std::shared_ptr<const melf::Binary> bin) {
       case slicer::IndirectSite::Kind::kUnresolved: ++row.unresolved; break;
     }
   }
-  // Full rule set over the uncut binary: must stay silent on CC007.
-  cutcheck::CutPlan plan;
-  plan.feature = "uncut";
-  plan.module = bin->name;
-  plan.binary = bin;
+  // Full rule set over the uncut binary: must stay silent on CC007. The
+  // model is attached so that check_ms times the rules alone.
+  cutcheck::CutPlan plan = uncut_plan(bin);
+  plan.model = std::make_shared<const slicer::SliceModel>(std::move(m));
   t0 = std::chrono::steady_clock::now();
   cutcheck::CheckReport r = cutcheck::check_plan(plan);
   row.check_ms = ms_since(t0);
@@ -96,32 +104,40 @@ SweepRow sweep(std::shared_ptr<const melf::Binary> bin) {
   return row;
 }
 
-/// Host time of slicer::analyze on `bin` over an in-run reference: one
-/// linear isa::try_decode sweep of the same binary's .text. Each of the
-/// reps times one analysis and the best of five sweeps back to back; the
-/// median of the per-rep ratios is reported, so machine speed and load
-/// cancel out.
-struct AnalyzeRatio {
-  double analyze_ms = 0;  ///< median rep's analysis
-  double sweep_ms = 0;    ///< median rep's best sweep
+/// Host time of one call of `work` over an in-run reference: one linear
+/// isa::try_decode sweep of `bin`'s .text. Each of the reps times one call
+/// and the best of five sweeps back to back; the median of the per-rep
+/// ratios is reported, so machine speed and load cancel out.
+struct SweepRatio {
+  double work_ms = 0;   ///< median rep's call of `work`
+  double sweep_ms = 0;  ///< median rep's best sweep
   double ratio = 0;
 };
 
-/// Gate on AnalyzeRatio::ratio. Release, 4 vCPU, five runs each: the
-/// decode-once analysis reads 162-190x, the node-based one it replaced
-/// 385-479x; 300 leaves the former a 1.5x margin and fails the latter.
-/// (The sanitizer Debug build reads ~80x: its decode sweep slows more.)
+/// Gate on the analyze ratio: slicer::analyze of the largest guest.
+/// Release, 4 vCPU, five runs each: the decode-once analysis read 162-190x
+/// (72-84x since the unread dataflow facts were deleted), the node-based
+/// one it replaced 385-479x; 300 fails the latter. (The sanitizer Debug
+/// build reads ~38x: its decode sweep slows more.)
 constexpr double kMaxAnalyzeRatio = 300;
 
-AnalyzeRatio analyze_ratio(const melf::Binary& bin) {
+/// Gate on the check ratio: check_plan of the largest guest's uncut plan,
+/// model attached, so the fourteen rules alone. Release, 4 vCPU: 3.6-4.5x
+/// with CC006's linear gadget pass, 28-41x with the per-address walk over a
+/// scratch address space it replaced; 12 leaves the former a 2.5x margin
+/// and fails the latter. (The sanitizer Debug build reads ~2x.)
+constexpr double kMaxCheckRatio = 12;
+
+template <class Work>
+SweepRatio sweep_ratio(const melf::Binary& bin, Work work) {
   constexpr int kReps = 7;
-  std::vector<AnalyzeRatio> reps;
+  std::vector<SweepRatio> reps;
   size_t sink = 0;
   for (int rep = 0; rep < kReps; ++rep) {
-    AnalyzeRatio r;
+    SweepRatio r;
     auto t0 = std::chrono::steady_clock::now();
-    sink += slicer::analyze(bin).cfg.block_count();
-    r.analyze_ms = ms_since(t0);
+    sink += work();
+    r.work_ms = ms_since(t0);
     r.sweep_ms = 1e300;
     for (int k = 0; k < 5; ++k) {
       t0 = std::chrono::steady_clock::now();
@@ -134,12 +150,12 @@ AnalyzeRatio analyze_ratio(const melf::Binary& bin) {
       }
       r.sweep_ms = std::min(r.sweep_ms, ms_since(t0));
     }
-    r.ratio = r.analyze_ms / r.sweep_ms;
+    r.ratio = r.work_ms / r.sweep_ms;
     reps.push_back(r);
   }
   if (sink == 0) std::printf("(empty guest)\n");
   std::sort(reps.begin(), reps.end(),
-            [](const AnalyzeRatio& a, const AnalyzeRatio& b) {
+            [](const SweepRatio& a, const SweepRatio& b) {
               return a.ratio < b.ratio;
             });
   return reps[kReps / 2];
@@ -224,16 +240,24 @@ int main(int argc, char** argv) {
   }
 
   const SweepRow* largest = &rows.front();
-  const melf::Binary* largest_bin = guests.front().get();
+  std::shared_ptr<const melf::Binary> largest_bin = guests.front();
   for (size_t i = 0; i < rows.size(); ++i) {
     if (rows[i].blocks > largest->blocks) {
       largest = &rows[i];
-      largest_bin = guests[i].get();
+      largest_bin = guests[i];
     }
   }
-  const AnalyzeRatio ar = analyze_ratio(*largest_bin);
+  const SweepRatio ar = sweep_ratio(*largest_bin, [&] {
+    return slicer::analyze(*largest_bin).cfg.block_count();
+  });
   std::printf("\n%s: analyze %.2f ms / try_decode sweep %.3f ms = %.1fx\n",
-              largest->name.c_str(), ar.analyze_ms, ar.sweep_ms, ar.ratio);
+              largest->name.c_str(), ar.work_ms, ar.sweep_ms, ar.ratio);
+  cutcheck::CutPlan uncut = uncut_plan(largest_bin);
+  uncut.model = slicer::plan_model(uncut);
+  const SweepRatio cr = sweep_ratio(
+      *largest_bin, [&] { return cutcheck::check_plan(uncut).diags.size(); });
+  std::printf("%s: check_plan %.2f ms / try_decode sweep %.3f ms = %.1fx\n",
+              largest->name.c_str(), cr.work_ms, cr.sweep_ms, cr.ratio);
   for (const auto& row : rows) {
     check(row.unresolved == 0, row.name + ": all indirect sites resolve");
     check(row.cc007 == 0, row.name + ": zero CC007 findings uncut");
@@ -243,6 +267,11 @@ int main(int argc, char** argv) {
   what += std::to_string(static_cast<int>(kMaxAnalyzeRatio));
   what += "x a linear decode sweep of its .text";
   check(ar.ratio <= kMaxAnalyzeRatio, what);
+  what = largest->name;
+  what += ": check_plan <= ";
+  what += std::to_string(static_cast<int>(kMaxCheckRatio));
+  what += "x a linear decode sweep of its .text";
+  check(cr.ratio <= kMaxCheckRatio, what);
 
   std::printf("\n");
   std::vector<GateRow> gates;
@@ -293,9 +322,14 @@ int main(int argc, char** argv) {
          << (i + 1 < gates.size() ? "," : "") << "\n";
   }
   json << "  ],\n  \"analyze_ratio\": {\"guest\": \"" << largest->name
-       << "\", \"analyze_ms\": " << ar.analyze_ms
+       << "\", \"analyze_ms\": " << ar.work_ms
        << ", \"sweep_ms\": " << ar.sweep_ms << ", \"ratio\": " << ar.ratio
-       << ", \"max_ratio\": " << kMaxAnalyzeRatio << "},\n  \"gate_failures\": " << failures << "\n}\n";
+       << ", \"max_ratio\": " << kMaxAnalyzeRatio
+       << "},\n  \"check_ratio\": {\"guest\": \"" << largest->name
+       << "\", \"check_ms\": " << cr.work_ms
+       << ", \"sweep_ms\": " << cr.sweep_ms << ", \"ratio\": " << cr.ratio
+       << ", \"max_ratio\": " << kMaxCheckRatio
+       << "},\n  \"gate_failures\": " << failures << "\n}\n";
   std::ofstream out(out_path);
   out << json.str();
   std::printf("wrote %s\n", out_path.c_str());

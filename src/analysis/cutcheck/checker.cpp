@@ -5,7 +5,10 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/cfg.hpp"
 #include "analysis/gadget.hpp"
@@ -13,7 +16,6 @@
 #include "analysis/slicer/slicer.hpp"
 #include "common/constants.hpp"
 #include "common/hex.hpp"
-#include "vm/addrspace.hpp"
 
 namespace dynacut::analysis::cutcheck {
 namespace {
@@ -388,67 +390,120 @@ void check_page_safety(Ctx& c) {
 
 // --- CC006: gadget delta ------------------------------------------------
 
-/// scan_gadgets window: the longest gadget CC006 counts, in instructions.
+/// The longest gadget CC006 counts, in instructions.
 constexpr int kGadgetMaxInstrs = 5;
 
-void check_gadget_delta(Ctx& c) {
-  // Rebuild the module's executable memory in a scratch address space and
-  // apply the plan the way the rewriter would.
-  vm::AddressSpace mem;
-  std::vector<std::pair<uint64_t, uint64_t>> extents;  // code byte ranges
-  for (const auto& sec : c.bin.sections) {
-    if (!melf::is_code(sec.kind) || sec.bytes.empty()) continue;
-    uint64_t start = kAppBase + sec.offset;
-    mem.map(start, page_ceil(sec.bytes.size()), kProtRead | kProtExec,
-            c.plan.module + ":" + melf::section_name(sec.kind));
-    mem.poke_bytes(start, sec.bytes);
-    extents.emplace_back(sec.offset, sec.offset + sec.bytes.size());
-  }
-  if (extents.empty()) return;
+/// A code section CC006 lays out: one with bytes whose page-padded end
+/// stays below 2^64.
+bool holds_code(const melf::Section& sec) {
+  return melf::is_code(sec.kind) && !sec.bytes.empty() &&
+         sec.offset <= UINT64_MAX - kPageSize - sec.bytes.size();
+}
 
-  GadgetStats before = scan_gadgets(mem, kGadgetMaxInstrs);
+/// One stretch of adjacent executable module bytes at module offset
+/// `start`.
+struct CodeRun {
+  uint64_t start = 0;
+  std::vector<uint8_t> bytes;
+};
 
-  // Clamped trap fill: plans may (legitimately, with a CC001 warning) name
-  // ranges past the recovered code; the rewriter would fault the guest, the
-  // simulation just ignores the out-of-code remainder.
-  auto fill = [&](uint64_t off, uint64_t len) {
-    for (const auto& [eb, ee] : extents) {
-      uint64_t lo = std::max(off, eb);
-      uint64_t hi = std::min(off + len, ee);
-      if (lo >= hi) continue;
-      std::vector<uint8_t> trap(hi - lo,
-                                static_cast<uint8_t>(isa::Op::kTrap));
-      mem.poke_bytes(kAppBase + lo, trap);
+/// The byte at module offset `off` of `runs`, which holds every byte of
+/// each section holds_code accepts.
+std::vector<uint8_t>::iterator byte_at(std::vector<CodeRun>& runs,
+                                       uint64_t off) {
+  auto run = std::prev(std::upper_bound(
+      runs.begin(), runs.end(), off,
+      [](uint64_t o, const CodeRun& r) { return o < r.start; }));
+  return run->bytes.begin() + static_cast<ptrdiff_t>(off - run->start);
+}
+
+/// The module's code as the loader lays it out: each code section
+/// zero-padded to its page end, and sections that touch or overlap joined
+/// into one run (.plt starts at the page end of .text, so .text's padding
+/// runs into it). Where sections overlap, the later section's bytes win.
+std::vector<CodeRun> code_runs(const melf::Binary& bin) {
+  std::vector<std::pair<uint64_t, uint64_t>> spans;  // [start, end)
+  for (const auto& sec : bin.sections) {
+    if (holds_code(sec)) {
+      spans.emplace_back(sec.offset,
+                         page_ceil(sec.offset + sec.bytes.size()));
     }
-  };
-
-  switch (c.plan.removal) {
-    case Removal::kBlockFirstByte:
-      for (const auto& [off, size] : c.ranges) fill(off, 1);
-      break;
-    case Removal::kWipeBlocks:
-      for (const auto& [off, size] : c.ranges) fill(off, size);
-      break;
-    case Removal::kUnmapPages:
-      for (const auto& [off, size] : c.ranges) fill(off, size);
-      for (uint64_t page : c.dropped_pages) {
-        uint64_t addr = kAppBase + page;
-        const vm::Vma* v = mem.vma_at(addr);
-        if (v != nullptr && v->contains(addr + kPageSize - 1)) {
-          mem.unmap(addr, kPageSize);
-        }
-      }
-      break;
   }
+  std::sort(spans.begin(), spans.end());
+  std::vector<CodeRun> runs;
+  for (const auto& [start, end] : spans) {
+    if (!runs.empty() &&
+        start <= runs.back().start + runs.back().bytes.size()) {
+      CodeRun& run = runs.back();
+      run.bytes.resize(std::max(run.bytes.size(), end - run.start));
+    } else {
+      runs.push_back({start, std::vector<uint8_t>(end - start)});
+    }
+  }
+  for (const auto& sec : bin.sections) {
+    if (holds_code(sec)) {
+      std::ranges::copy(sec.bytes, byte_at(runs, sec.offset));
+    }
+  }
+  return runs;
+}
 
-  GadgetStats after = scan_gadgets(mem, kGadgetMaxInstrs);
-  int64_t delta = static_cast<int64_t>(after.gadget_starts) -
-                  static_cast<int64_t>(before.gadget_starts);
+/// Gadget starts over `runs`, each split at the `dropped` pages (ascending
+/// module offsets) so that no sequence crosses or starts on one.
+uint64_t count_gadgets(const std::vector<CodeRun>& runs,
+                       const std::vector<uint64_t>& dropped) {
+  uint64_t starts = 0;
+  for (const CodeRun& run : runs) {
+    const uint64_t end = run.start + run.bytes.size();
+    uint64_t cur = run.start;
+    auto piece = [&](uint64_t to) {
+      if (cur < to) {
+        starts += count_gadget_starts(
+            std::span(run.bytes).subspan(cur - run.start, to - cur), 0,
+            to - cur, kGadgetMaxInstrs);
+      }
+    };
+    for (uint64_t page : dropped) {
+      if (page >= end) break;
+      if (page + kPageSize <= cur) continue;
+      piece(page);
+      cur = std::min(end, page + kPageSize);
+    }
+    piece(end);
+  }
+  return starts;
+}
+
+void check_gadget_delta(Ctx& c) {
+  std::vector<CodeRun> runs = code_runs(c.bin);
+  if (runs.empty()) return;
+  const uint64_t before = count_gadgets(runs, {});
+
+  // Apply the plan the way the rewriter would. Clamped trap fill: plans
+  // may (legitimately, with a CC001 warning) name ranges past the
+  // recovered code; the rewriter would fault the guest, the simulation
+  // just ignores the out-of-code remainder and the section padding.
+  for (const auto& [off, size] : c.ranges) {
+    const uint64_t len =
+        c.plan.removal == Removal::kBlockFirstByte ? 1 : size;
+    for (const auto& sec : c.bin.sections) {
+      if (!holds_code(sec)) continue;
+      const uint64_t lo = std::max(off, sec.offset);
+      const uint64_t hi = std::min(off + len, sec.offset + sec.bytes.size());
+      if (lo < hi) {
+        std::fill_n(byte_at(runs, lo), hi - lo,
+                    static_cast<uint8_t>(isa::Op::kTrap));
+      }
+    }
+  }
+  const uint64_t after = count_gadgets(runs, c.dropped_pages);
+
+  int64_t delta = static_cast<int64_t>(after) - static_cast<int64_t>(before);
   c.report.gadget_delta = delta;
 
   uint64_t anchor = c.ranges.empty() ? 0 : c.ranges.front().first;
-  std::string counts = std::to_string(before.gadget_starts) + " -> " +
-                       std::to_string(after.gadget_starts);
+  std::string counts =
+      std::to_string(before) + " -> " + std::to_string(after);
   if (delta > 0) {
     c.add(kRuleGadget, Severity::kWarning, anchor,
           "the cut adds " + std::to_string(delta) +
